@@ -2,17 +2,17 @@
 and the extension problem for subquadrangle automorphisms.
 
 The group search is individualization-refinement backtracking on the colored
-bipartite incidence graph (points and lines are never mixed): equitable
-refinement plus distance-to-individualized-vertex splitting, first-leaf
-comparison for candidate automorphisms, orbit pruning along the first path
-and subtree abandonment after a success off it.  Groups are stored as
-generators plus a deterministic Schreier-Sims stabilizer chain.
+bipartite incidence graph (points and lines are never mixed): splitter-queue
+equitable refinement, first-leaf comparison for candidate automorphisms,
+orbit pruning along the first path and subtree abandonment after a success
+off it.  Groups are stored as generators plus a deterministic Schreier-Sims
+stabilizer chain.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -40,6 +40,21 @@ def inverse(p):
 
 def is_identity(p):
     return all(i == x for i, x in enumerate(p))
+
+
+def _orbit(gens, x):
+    """Orbit of x under the group the permutations generate; orbits of a
+    finite group are closed under forward images, so no inverses are needed."""
+    seen = {x}
+    queue = [x]
+    while queue:
+        y = queue.pop()
+        for g in gens:
+            z = g[y]
+            if z not in seen:
+                seen.add(z)
+                queue.append(z)
+    return seen
 
 
 # -- geometry-level permutations -------------------------------------------------
@@ -224,16 +239,7 @@ class PermutationGroup:
         return tuple(b for b, _g, _t in self._levels)
 
     def orbit(self, x):
-        seen = {x}
-        queue = [x]
-        while queue:
-            y = queue.pop()
-            for g in self.generators:
-                z = g[y]
-                if z not in seen:
-                    seen.add(z)
-                    queue.append(z)
-        return seen
+        return _orbit(self.generators, x)
 
     def orbits(self):
         left = set(range(self.degree))
@@ -280,28 +286,30 @@ def pointwise_stabilizer(group: PermutationGroup, points) -> PermutationGroup:
 
 
 def setwise_stabilizer(group: PermutationGroup, subset, *, leaf_budget=2_000_000):
-    """Elements preserving the subset, by chain backtracking with the subset
+    """Subgroup preserving the subset, by chain backtracking with the subset
     points promoted to the front of the base (every element of the stabilizer
-    is visited; pruning only discards provably bad branches)."""
+    is visited; pruning only discards provably bad branches).  A leaf becomes
+    a generator only if it does not sift into the group found so far, so each
+    one at least doubles it: at most log2 |stabilizer| generators."""
     subset = frozenset(subset)
     if not subset or subset == frozenset(range(group.degree)):
         return PermutationGroup(group.degree, group.generators)
     prefix = tuple(sorted(subset))
     G = PermutationGroup(group.degree, group.generators, base_prefix=prefix)
     levels = G._levels
-    found = []
+    found = PermutationGroup(group.degree, [])
     leaves = 0
 
     def dfs(i, current):
-        nonlocal leaves
+        nonlocal leaves, found
         if i == len(levels):
             leaves += 1
             if leaves > leaf_budget:
                 raise BudgetExceeded("setwise stabilizer search exceeded its budget")
-            if not is_identity(current) and all(
+            if all(
                 (current[x] in subset) == (x in subset) for x in range(group.degree)
-            ):
-                found.append(current)
+            ) and not found.contains(current):
+                found = PermutationGroup(group.degree, found.generators + [current])
             return
         base, _gens, transversal = levels[i]
         for x in sorted(transversal):
@@ -311,109 +319,126 @@ def setwise_stabilizer(group: PermutationGroup, subset, *, leaf_budget=2_000_000
             dfs(i + 1, compose(transversal[x], current))
 
     dfs(0, identity_perm(group.degree))
-    return PermutationGroup(group.degree, found)
+    return found
 
 
 # -- automorphism search on colored graphs --------------------------------------------
 
 
-def _equitable(adj, cells):
-    n = len(adj)
-    member = np.zeros(n, dtype=bool)
-    changed = True
-    while changed:
-        changed = False
-        for si in range(len(cells)):
-            member[:] = False
-            member[cells[si]] = True
-            new_cells = []
-            for cell in cells:
-                if len(cell) == 1:
-                    new_cells.append(cell)
-                    continue
-                buckets = {}
-                for v in cell:
-                    c = 0
-                    for w in adj[v]:
-                        if member[w]:
-                            c += 1
-                    buckets.setdefault(c, []).append(v)
-                if len(buckets) == 1:
-                    new_cells.append(cell)
-                else:
-                    changed = True
-                    for c in sorted(buckets):
-                        new_cells.append(buckets[c])
-            if changed:
-                cells = new_cells
-                break
-        else:
-            cells = new_cells if not changed else cells
-    return cells
+def _color_partition(adj, colors):
+    """Coarsest equitable partition finer than the color classes, ordered by
+    color, as (lab, cell_of, size): the vertices cell by cell, the start
+    position of each vertex's cell, and the length of the cell starting at
+    each start position."""
+    lab = sorted(range(len(adj)), key=colors.__getitem__)
+    cell_of, size = [0] * len(lab), [0] * len(lab)
+    for i, v in enumerate(lab):
+        s = cell_of[lab[i - 1]] if i and colors[lab[i - 1]] == colors[v] else i
+        cell_of[v] = s
+        size[s] += 1
+    return _refine(adj, (lab, cell_of, size), sorted(set(cell_of)))
 
 
-def _distances(adj, v):
-    n = len(adj)
-    dist = [n + 1] * n
-    dist[v] = 0
-    queue = [v]
-    head = 0
-    while head < len(queue):
-        x = queue[head]
-        head += 1
-        for w in adj[x]:
-            if dist[w] > dist[x] + 1:
-                dist[w] = dist[x] + 1
-                queue.append(w)
-    return dist
+def _cells(part):
+    lab, _cell_of, size = part
+    out, s = [], 0
+    while s < len(lab):
+        out.append(lab[s:s + size[s]])
+        s += size[s]
+    return out
 
 
-def _individualize_refine(adj, cells, ci, v):
-    new_cells = []
-    for i, cell in enumerate(cells):
-        if i == ci:
-            new_cells.append([v])
-            rest = [x for x in cell if x != v]
-            if rest:
-                new_cells.append(rest)
-        else:
-            new_cells.append(list(cell))
-    dist = _distances(adj, v)
-    split = []
-    for cell in new_cells:
-        if len(cell) == 1:
-            split.append(cell)
-            continue
-        buckets = {}
-        for x in cell:
-            buckets.setdefault(dist[x], []).append(x)
-        for d in sorted(buckets):
-            split.append(buckets[d])
-    return _equitable(adj, split)
+def _refine(adj, part, queue):
+    """Refine an ordered partition in place to the coarsest equitable
+    partition finer than it, splitting by the cells whose starts are queued
+    (the splitter queue of McKay and Piperno, Practical graph isomorphism II).
+
+    A split cell's fragments take its place ordered by neighbour count, and
+    the queue order depends only on cell positions and sizes, so refinement
+    commutes with every relabelling of the graph."""
+    lab, cell_of, size = part
+    waiting = [False] * len(lab)
+    for s in queue:
+        waiting[s] = True
+    queue = deque(queue)
+    count = [0] * len(lab)
+    while queue:
+        s = queue.popleft()
+        waiting[s] = False
+        touched = []
+        for v in lab[s:s + size[s]]:
+            for w in adj[v]:
+                if not count[w]:
+                    touched.append(w)
+                count[w] += 1
+        hit = {}
+        for w in touched:
+            hit.setdefault(cell_of[w], []).append(w)
+        for c in sorted(hit):
+            groups = {}
+            for w in hit[c]:
+                groups.setdefault(count[w], []).append(w)
+            if len(hit[c]) < size[c]:
+                groups[0] = [v for v in lab[c:c + size[c]] if not count[v]]
+            elif len(groups) == 1:
+                continue
+            frags, pos = [], c
+            for k in sorted(groups):
+                frag = groups[k]
+                lab[pos:pos + len(frag)] = frag
+                for v in frag:
+                    cell_of[v] = pos
+                size[pos] = len(frag)
+                frags.append(pos)
+                pos += len(frag)
+            if not waiting[c]:
+                # counts into the whole cell are already uniform, so those
+                # into its largest fragment follow from the others
+                frags.remove(max(frags, key=size.__getitem__))
+            for f in frags:
+                if not waiting[f]:
+                    waiting[f] = True
+                    queue.append(f)
+        for w in touched:
+            count[w] = 0
+    return part
+
+
+def _individualize(adj, part, v):
+    """Copy of an equitable partition with v split off at the front of its
+    cell, refined; only {v} is queued, since the parent is equitable."""
+    lab, cell_of, size = (list(x) for x in part)
+    c = cell_of[v]
+    i = lab.index(v, c)
+    lab[i], lab[c] = lab[c], v
+    for w in lab[c + 1:c + size[c]]:
+        cell_of[w] = c + 1
+    size[c + 1], size[c] = size[c] - 1, 1
+    return _refine(adj, (lab, cell_of, size), [c])
 
 
 def graph_automorphisms(adj, colors, *, node_budget=500_000):
-    """Generators of the automorphism group of a vertex-colored graph."""
+    """Generators of the automorphism group of a vertex-colored graph.
+
+    Each node of the search tree is an equitable ordered partition; a child
+    individualizes one vertex of the first smallest non-singleton cell and
+    is refined by `_refine`.  The first leaf is the reference: a later leaf
+    whose path has the same cell sizes at every level pairs with it into a
+    candidate map, kept only if `check_automorphism` certifies it.  Orbits of
+    the generators found so far prune the first path, and a subtree off it is
+    abandoned after its first success.  Past `node_budget` nodes the search
+    raises BudgetExceeded, reporting the nodes visited, the deepest level
+    reached and the generators found so far.
+    """
     n = len(adj)
     adj = [tuple(sorted(ws)) for ws in adj]
-    cells0 = {}
-    for v in range(n):
-        cells0.setdefault(colors[v], []).append(v)
-    cells = _equitable(adj, [cells0[c] for c in sorted(cells0)])
+    part = _color_partition(adj, colors)
 
     gens = []
     base_leaf = None
     first_shapes = {}
     base_seq = []
-    nodes = 0
-
-    def target_cell(cells):
-        best = -1
-        best_len = None
-        for i, cell in enumerate(cells):
-            if len(cell) > 1 and (best_len is None or len(cell) < best_len):
-                best, best_len = i, len(cell)
-        return best
+    nodes = deepest = 0
 
     def check_automorphism(perm):
         for v in range(n):
@@ -423,70 +448,45 @@ def graph_automorphisms(adj, colors, *, node_budget=500_000):
                 return False
         return True
 
-    def prefix_orbits(depth):
-        prefix = base_seq[:depth]
-        subgens = [g for g in gens if all(g[b] == b for b in prefix)]
-        return subgens
-
-    def same_orbit(subgens, a, processed):
-        seen = {a}
-        queue = [a]
-        while queue:
-            x = queue.pop()
-            if x in processed:
-                return True
-            for g in subgens:
-                for y in (g[x], inverse(g)[x]):
-                    if y not in seen:
-                        seen.add(y)
-                        queue.append(y)
-        return False
-
-    def search(cells, depth, first_path):
-        nonlocal base_leaf, nodes
+    def search(part, depth, first_path):
+        nonlocal base_leaf, nodes, deepest
         nodes += 1
+        deepest = max(deepest, depth)
         if nodes > node_budget:
-            raise BudgetExceeded(f"automorphism search exceeded {node_budget} nodes")
+            raise BudgetExceeded(
+                f"automorphism search exceeded {node_budget} nodes: visited {nodes}, "
+                f"deepest level {deepest}, {len(gens)} generators found"
+            )
+        cells = _cells(part)
         shape = tuple(len(c) for c in cells)
         if base_leaf is None:
             first_shapes[depth] = shape
         elif first_shapes.get(depth) != shape:
             return False
-        ci = target_cell(cells)
-        if ci < 0:
-            leaf = [c[0] for c in cells]
+        target = min((c for c in cells if len(c) > 1), key=len, default=None)
+        if target is None:
             if base_leaf is None:
-                base_leaf = leaf
+                base_leaf = part[0]
                 return False
-            perm = [0] * n
-            for a, b in zip(base_leaf, leaf):
-                perm[a] = b
-            perm = tuple(perm)
+            perm = compose(inverse(base_leaf), part[0])
             if check_automorphism(perm):
                 gens.append(perm)
                 return True
             return False
-        cell = sorted(cells[ci])
+        cell = sorted(target)
         if first_path:
             base_seq.append(cell[0])
-        processed = set()
-        found_any = False
         for idx, v in enumerate(cell):
-            if first_path and idx == 0:
-                search(_individualize_refine(adj, cells, ci, v), depth + 1, True)
-                processed.add(v)
-                continue
-            if first_path and same_orbit(prefix_orbits(depth), v, processed):
-                processed.add(v)
-                continue
-            found = search(_individualize_refine(adj, cells, ci, v), depth + 1, False)
-            found_any |= found
-            processed.add(v)
-            if found_any and not first_path:
+            if first_path and idx:
+                fixers = [g for g in gens if all(g[b] == b for b in base_seq[:depth])]
+                if not _orbit(fixers, v).isdisjoint(cell[:idx]):
+                    continue
+            child = _individualize(adj, part, v)
+            if search(child, depth + 1, first_path and not idx) and not first_path:
                 return True
-        return found_any
+        return False
 
-    search(cells, 0, True)
+    search(part, 0, True)
     return gens
 
 

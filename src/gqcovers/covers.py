@@ -11,6 +11,7 @@ from typing import Optional
 
 import numpy as np
 
+from .autgroup import inverse
 from .errors import BudgetExceeded, ConsistencyViolation, HypothesisError
 
 # -- morphisms -----------------------------------------------------------------
@@ -564,12 +565,12 @@ def _orientation(pair, e_point_perm, base_map) -> str:
     )
     if direct:
         return "direct"
-    inverse = all(
+    backward = all(
         frozenset(int(inv[p]) for p in pair.ovoids[o].points)
         == pair.ovoids[e_point_perm[o]].points
         for o in range(len(pair.ovoids))
     )
-    if inverse:
+    if backward:
         return "inverse"
     raise ConsistencyViolation("no orientation of the base point map fits the action")
 
@@ -590,8 +591,8 @@ def verify_initial_object(pair, gamma, gamma_prime) -> ConnectingReport:
     """
     f1 = factorize_lower(pair, gamma)
     f2 = factorize_lower(pair, gamma_prime)
-    inv_pt = _invert(f1.e_point_perm)
-    inv_ln = _invert(f1.e_line_perm)
+    inv_pt = inverse(f1.e_point_perm)
+    inv_ln = inverse(f1.e_line_perm)
     delta_pt = tuple(f2.e_point_perm[inv_pt[i]] for i in range(len(inv_pt)))
     delta_ln = tuple(f2.e_line_perm[inv_ln[i]] for i in range(len(inv_ln)))
 
@@ -616,13 +617,6 @@ def verify_initial_object(pair, gamma, gamma_prime) -> ConnectingReport:
             raise ConsistencyViolation("connecting map disagrees with the forcing")
     _check_structure_automorphism(pair.E, delta_pt, delta_ln)
     return ConnectingReport(delta_pt, delta_ln, unique)
-
-
-def _invert(perm):
-    inv = [0] * len(perm)
-    for i, v in enumerate(perm):
-        inv[v] = i
-    return tuple(inv)
 
 
 # -- rebuilding the ambient quadrangle from an abstract cover ---------------------------

@@ -12,6 +12,7 @@ from gqcovers.constructions import (
     build_Q5_with_Q4,
     build_W,
 )
+from gqcovers.kkcensus import enumerate_subgqs_through_line
 from gqcovers.subtension import build_derived_pair
 
 
@@ -58,3 +59,14 @@ def q4_2():
 @pytest.fixture(scope="session")
 def kk3():
     return build_kantor_knuth(QClanSpec(q=3, sigma_exp=0, m=2))
+
+
+@pytest.fixture(scope="session")
+def kk9_records():
+    """KK(9) and its 810 subquadrangles through the infinity line: the q=9
+    enumeration takes minutes, so the tests that need it share one run."""
+    res = build_kantor_knuth(QClanSpec(q=9, sigma_exp=1, m=3))
+    recs = enumerate_subgqs_through_line(
+        res.structure, res.infinity_line, expected_total=810
+    )
+    return res, recs

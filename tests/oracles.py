@@ -113,3 +113,28 @@ def brute_automorphism_count(g):
         if all(tuple(sorted(pm[p] for p in line)) in lineset for line in g.lines):
             count += 1
     return count
+
+
+def brute_is_equitable(adj, cells):
+    """Every vertex of a cell has the same number of neighbours in each cell."""
+    for other in cells:
+        other = set(other)
+        for cell in cells:
+            if len({sum(1 for w in adj[v] if w in other) for v in cell}) > 1:
+                return False
+    return True
+
+
+def brute_refines(fine, coarse):
+    """Ordered refinement: both partition the same vertices, every cell of
+    fine lies inside one cell of coarse, and the cells of fine inside each
+    coarse cell sit where that cell sat."""
+    if sorted(v for c in fine for v in c) != sorted(v for c in coarse for v in c):
+        return False
+    where = {v: i for i, cell in enumerate(coarse) for v in cell}
+    owners = []
+    for cell in fine:
+        if len({where[v] for v in cell}) != 1:
+            return False
+        owners.append(where[cell[0]])
+    return owners == sorted(owners)

@@ -49,7 +49,9 @@ from gqcovers.subtension import build_derived_pair, theta_census
 
 
 def report(criterion, ok, detail):
-    print(f"criterion {criterion}: {'PASS' if ok else 'FAIL'} - {detail}")
+    """Print a criterion's verdict; ok=None marks a skipped criterion."""
+    verdict = "SKIP" if ok is None else "PASS" if ok else "FAIL"
+    print(f"criterion {criterion}: {verdict} - {detail}")
     return ok
 
 
@@ -283,7 +285,7 @@ def test_criterion_10_derived_aut_crosscheck(pair_q2, pair_q3):
 @pytest.mark.slow
 def test_criterion_11_kantor_knuth_census():
     if not os.environ.get("GQCOV_RUN_KK"):
-        report(11, True, "skipped (set GQCOV_RUN_KK=1 or run `gqcov run-suite --name kk-q9`)")
+        report(11, None, "skipped (set GQCOV_RUN_KK=1 or run `gqcov run-suite --name kk-q9`)")
         pytest.skip("stretch criterion; enable with GQCOV_RUN_KK=1")
     res = build_kantor_knuth(QClanSpec(q=9, sigma_exp=1, m=3))
     assert not res.classical

@@ -1,11 +1,16 @@
 import math
 import random
+import re
 
 import pytest
 
 from gqcovers.autgroup import (
     Permutation,
     PermutationGroup,
+    _cells,
+    _color_partition,
+    _individualize,
+    _structure_graph,
     automorphism_group,
     compare_derived_automorphisms,
     elementwise_kernel,
@@ -16,11 +21,11 @@ from gqcovers.autgroup import (
     pointwise_stabilizer,
     setwise_stabilizer,
 )
-from gqcovers.constructions import build_grid, build_Q4_with_Q3
+from gqcovers.constructions import build_grid, build_Q4, build_Q4_with_Q3
 from gqcovers.errors import BudgetExceeded, HypothesisError
 from gqcovers.incidence import IncidenceStructure
 
-from .oracles import brute_automorphism_count
+from .oracles import brute_automorphism_count, brute_is_equitable, brute_refines
 
 
 def test_permutation_validation(grid2):
@@ -201,6 +206,81 @@ def test_full_group_budget(q5q4_3):
     amb, _emb = q5q4_3
     with pytest.raises(BudgetExceeded):
         automorphism_group(amb, max_points=100)
+
+
+def test_node_budget_reports_progress(q4_2):
+    with pytest.raises(BudgetExceeded) as err:
+        automorphism_group(q4_2, node_budget=3)
+    msg = str(err.value)
+    assert "visited 4" in msg
+    assert re.search(r"deepest level [1-9]", msg)
+    assert re.search(r"\d+ generators found", msg)
+
+
+def _checked_refinements(g, v=None):
+    """Refined color partition of the structure graph of g, and the refined
+    child after individualizing v (by default the least vertex of the first
+    smallest non-singleton cell), both checked against the oracle."""
+    adj, colors = _structure_graph(g)
+    classes = [[x for x in range(len(adj)) if colors[x] == c] for c in sorted(set(colors))]
+    part = _color_partition(adj, colors)
+    cells = _cells(part)
+    assert brute_is_equitable(adj, cells) and brute_refines(cells, classes)
+    if v is None:
+        v = min(min((c for c in cells if len(c) > 1), key=len))
+    split = []
+    for c in cells:
+        split += [[v], [x for x in c if x != v]] if v in c else [c]
+    child = _cells(_individualize(adj, part, v))
+    assert brute_is_equitable(adj, child) and brute_refines(child, split)
+    return cells, v, child
+
+
+@pytest.mark.parametrize(
+    "build,order",
+    [(lambda: build_grid(3), 1152), (lambda: build_Q4(2), 720), (lambda: build_Q4(3), 51840)],
+    ids=["grid3", "Q4_2", "Q4_3"],
+)
+def test_refinement_equitable_and_relabelling_invariant(build, order):
+    """Refinement commutes with relabelling: under a seeded relabelling of
+    the points (lines follow), the refined partition and the child after
+    individualizing the corresponding vertex are the relabelled originals."""
+    g = build()
+    cells, v, child = _checked_refinements(g)
+    assert automorphism_group(g).order() == order
+    n = g.point_count
+    for seed in range(3):
+        pi = list(range(n))
+        random.Random(seed).shuffle(pi)
+        h = IncidenceStructure(n, [[pi[p] for p in line] for line in g.lines])
+        vmap = pi + [n + h.line_index[tuple(sorted(pi[p] for p in line))] for line in g.lines]
+        h_cells, _v, h_child = _checked_refinements(h, vmap[v])
+        assert [len(c) for c in h_cells] == [len(c) for c in cells]
+        assert [len(c) for c in h_child] == [len(c) for c in child]
+        assert [set(c) for c in h_cells] == [{vmap[x] for x in c} for c in cells]
+        assert [set(c) for c in h_child] == [{vmap[x] for x in c} for c in child]
+        assert automorphism_group(h).order() == order
+
+
+def test_refinement_equitable_on_random_graphs():
+    """Irregular two-colored graphs, where a fragment left out of the
+    splitter queue wrongly would leave the partition unequitable."""
+    for seed in range(100):
+        rng = random.Random(seed)
+        n = rng.randrange(5, 14)
+        adj = [set() for _ in range(n)]
+        for _ in range(rng.randrange(n, 3 * n)):
+            a, b = rng.sample(range(n), 2)
+            adj[a].add(b)
+            adj[b].add(a)
+        colors = [rng.randrange(2) for _ in range(n)]
+        part = _color_partition(adj, colors)
+        assert brute_is_equitable(adj, _cells(part))
+        for v in range(n):
+            if part[2][part[1][v]] > 1:
+                child = _cells(_individualize(adj, part, v))
+                assert brute_is_equitable(adj, child)
+                assert brute_refines(child, _cells(part))
 
 
 @pytest.mark.slow

@@ -2,7 +2,7 @@ import os
 
 import pytest
 
-from gqcovers.constructions import QClanSpec, build_kantor_knuth, build_Q5
+from gqcovers.constructions import build_Q5
 from gqcovers.errors import BudgetExceeded, ConsistencyViolation
 from gqcovers.gf import field
 from gqcovers.incidence import GQOrder, verify_gq_axioms
@@ -118,12 +118,9 @@ def test_kk3_classical_census(kk3):
 
 
 @pytest.mark.slow
-def test_kk9_full_census():
-    res = build_kantor_knuth(QClanSpec(q=9, sigma_exp=1, m=3))
+def test_kk9_full_census(kk9_records):
+    res, recs = kk9_records
     assert verify_gq_axioms(res.structure) == GQOrder(9, 81)
-    recs = enumerate_subgqs_through_line(
-        res.structure, res.infinity_line, expected_total=810
-    )
     report = census_report(recs, q=9)
     assert report.total == 810
     assert report.omega1 == 162 and report.omega2 == 648
@@ -142,17 +139,14 @@ def test_doubling_involution_classical(q53_records):
 
 
 @pytest.mark.slow
-def test_kk9_involutions_fix_distinguished_line():
+def test_kk9_involutions_fix_distinguished_line(kk9_records):
     """A doubly subtended record yields a genuine ambient involution fixing
     the record pointwise, hence the distinguished line; records that are not
     doubly subtended admit no such map.  Sampled records also pass the full
     axiom checker at order (9,9)."""
     from gqcovers.kkcensus import doubling_involution
 
-    res = build_kantor_knuth(QClanSpec(q=9, sigma_exp=1, m=3))
-    recs = enumerate_subgqs_through_line(
-        res.structure, res.infinity_line, expected_total=810
-    )
+    res, recs = kk9_records
     report = census_report(recs, q=9)
     omega1 = [r for r in recs if r.doubly_subtended]
     omega2 = [r for r in recs if not r.doubly_subtended]
