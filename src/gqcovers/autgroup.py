@@ -681,11 +681,14 @@ def extend_automorphism(emb, phi: Permutation, mode="find_all", *, node_budget=2
                         compute_kernel=True):
     """Ambient automorphisms restricting to a given subgeometry automorphism.
 
-    Candidate images of an external point are the subtenders of the image of
-    its ovoid; the search propagates collinearity among externals.  When
-    extensions exist their number must equal the elementwise kernel order
-    (checked whenever both are computed).
+    One injective run of the morphism search of `covers` from the ambient to
+    itself: a subgeometry point starts fixed at its phi-image, an external
+    point starts at the subtenders of the phi-image of its ovoid, and mode
+    "find_one" stops at the first extension.  Each extension is certified by
+    Permutation.from_points.  When extensions exist their number must equal
+    the elementwise kernel order (checked whenever both are computed).
     """
+    from .covers import _morphism_search
     from .subtension import _ovoid_matrix, _validate_ovoid_rows
 
     amb = emb.ambient
@@ -695,76 +698,25 @@ def extend_automorphism(emb, phi: Permutation, mode="find_all", *, node_budget=2
 
     mat = _ovoid_matrix(emb)
     _validate_ovoid_rows(emb, mat)
-    n_ext = len(emb.external_points)
     uniq, inverse_idx = np.unique(mat, axis=0, return_inverse=True)
     key_of_row = {row.tobytes(): k for k, row in enumerate(uniq)}
-    subtenders = [[] for _ in range(len(uniq))]
-    for i in range(n_ext):
-        subtenders[inverse_idx[i]].append(i)
+    subtenders = [0] * len(uniq)
+    for i, p in enumerate(emb.external_points):
+        subtenders[inverse_idx[i]] |= 1 << p
 
-    inv_phi = inverse(phi.point_images)
-    candidates = []
-    for i in range(n_ext):
-        row = mat[i]
-        image_row = row[list(inv_phi)]
-        k = key_of_row.get(image_row.tobytes())
-        candidates.append(tuple(subtenders[k]) if k is not None else ())
-
-    ext_ids = np.array(emb.external_points, dtype=np.int64)
-    coll_ext = amb.collinearity[np.ix_(ext_ids, ext_ids)]
-
-    assignment = [-1] * n_ext
-    used = set()
-    solutions = []
-    nodes = 0
-
-    def consistent(i, w):
-        for j in range(n_ext):
-            a = assignment[j]
-            if a >= 0 and coll_ext[i, j] != coll_ext[w, a]:
-                return False
-        return True
-
-    def pick():
-        best, count = -1, None
-        for i in range(n_ext):
-            if assignment[i] >= 0:
-                continue
-            c = sum(
-                1 for w in candidates[i] if w not in used and consistent(i, w)
-            )
-            if count is None or c < count:
-                best, count = i, c
-                if c == 0:
-                    break
-        return best
-
-    def rec():
-        nonlocal nodes
-        i = pick()
-        if i < 0:
-            sol = _assemble_extension(emb, phi, assignment)
-            if sol is not None:
-                solutions.append(sol)
-                return mode == "find_one"
-            return False
-        for w in candidates[i]:
-            if w in used or not consistent(i, w):
-                continue
-            nodes += 1
-            if nodes > node_budget:
-                raise BudgetExceeded("extension search exceeded its node budget")
-            assignment[i] = w
-            used.add(w)
-            if rec():
-                assignment[i] = -1
-                used.discard(w)
-                return True
-            assignment[i] = -1
-            used.discard(w)
-        return False
-
-    rec()
+    domains = [0] * amb.point_count
+    for x, p in enumerate(emb.point_subset):
+        domains[p] = 1 << emb.point_subset[phi.point_images[x]]
+    inv_phi = list(inverse(phi.point_images))
+    for i, p in enumerate(emb.external_points):
+        k = key_of_row.get(mat[i][inv_phi].tobytes())
+        if k is not None:
+            domains[p] = subtenders[k]
+    found = _morphism_search(
+        amb, amb, domains, injective=True, first_only=mode == "find_one",
+        node_budget=node_budget,
+    )
+    solutions = [Permutation.from_points(amb, point_map) for point_map, _ in found]
 
     kernel_order = None
     if compute_kernel:
@@ -790,21 +742,6 @@ def extend_automorphism(emb, phi: Permutation, mode="find_all", *, node_budget=2
 
 def _is_sub_identity(phi):
     return is_identity(phi.point_images) and is_identity(phi.line_images)
-
-
-def _assemble_extension(emb, phi, assignment):
-    """Total ambient point map from the subgeometry map plus the external
-    assignment; returns a verified Permutation or None."""
-    amb = emb.ambient
-    point_images = [0] * amb.point_count
-    for p in emb.point_subset:
-        point_images[p] = emb.point_subset[phi.point_images[emb.point_fwd[p]]]
-    for i, p in enumerate(emb.external_points):
-        point_images[p] = emb.external_points[assignment[i]]
-    try:
-        return Permutation.from_points(amb, tuple(point_images))
-    except ValueError:
-        return None
 
 
 # -- higher decomposition ---------------------------------------------------------------

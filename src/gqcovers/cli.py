@@ -7,7 +7,6 @@ is byte-identical across reruns apart from the timing block.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import random
@@ -48,14 +47,6 @@ from .spg import SPGParameters, expected_parameters, hypothesis_gate, verify_spg
 from .subtension import build_derived_pair, theta_census
 
 SCHEMA_VERSION = "1"
-
-
-def _digest(path):
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(65536), b""):
-            h.update(chunk)
-    return h.hexdigest()
 
 
 def _write_report(path, payload):
@@ -352,8 +343,6 @@ def cmd_kk_census(args):
 def _enumerate_kk(res, args):
     g = res.structure
     logger = (lambda msg: print(msg, flush=True)) if args.verbose else None
-    if args.workers and args.workers > 1:
-        return _enumerate_parallel(res, args)
     return enumerate_subgqs_through_line(
         g,
         res.infinity_line,
@@ -361,54 +350,6 @@ def _enumerate_kk(res, args):
         checkpoint_dir=args.checkpoint,
         log=logger,
     )
-
-
-def _worker_chunk(chunk):
-    lo, hi = chunk
-    recs = enumerate_subgqs_through_line(
-        _WORKER_STATE["structure"],
-        _WORKER_STATE["infinity"],
-        pair_range=(lo, hi),
-    )
-    return [(r.points, r.lines) for r in recs]
-
-
-_WORKER_STATE = {}
-
-
-def _init_worker(structure, infinity):
-    _WORKER_STATE["structure"] = structure
-    _WORKER_STATE["infinity"] = infinity
-
-
-def _enumerate_parallel(res, args):
-    import multiprocessing as mp
-
-    from .kkcensus import SubGQRecord
-
-    g = res.structure
-    g.collinearity  # materialize before forking so workers share the page cache
-    # lines through the first two points of the base line are pairwise disjoint
-    # in a GQ (a meeting pair would close a triangle), so the pair count is t^2
-    p1 = g.lines[res.infinity_line][0]
-    n_pairs = (len(g.point_lines[p1]) - 1) ** 2
-    chunk = max(1, n_pairs // (args.workers * 8))
-    chunks = [(lo, min(lo + chunk, n_pairs)) for lo in range(0, n_pairs, chunk)]
-    ctx = mp.get_context("fork")
-    merged = {}
-    with ctx.Pool(args.workers, _init_worker, (g, res.infinity_line)) as pool:
-        for part in pool.imap_unordered(_worker_chunk, chunks):
-            for pts, lns in part:
-                merged.setdefault(pts, lns)
-    records = [SubGQRecord(g, pts, lns) for pts, lns in sorted(merged.items())]
-    expected = args.q**3 + args.q**2
-    if len(records) != expected:
-        from .errors import ConsistencyViolation
-
-        raise ConsistencyViolation(
-            f"parallel enumeration found {len(records)}, expected {expected}"
-        )
-    return records
 
 
 # -- suites -----------------------------------------------------------------------
@@ -831,7 +772,6 @@ def build_parser():
     c.add_argument("--sigma", type=int, default=1)
     c.add_argument("--m", type=int, default=None)
     c.add_argument("--checkpoint", default=None)
-    c.add_argument("--workers", type=int, default=1)
     c.add_argument("--verbose", action="store_true")
     c.add_argument("--out", default=None)
     c.set_defaults(fn=cmd_kk_census)

@@ -1,7 +1,8 @@
-"""Morphisms and covers between incidence structures: verification,
-exhaustive enumeration, factorization through the canonical projection,
-the initial-object property, rebuilding the ambient quadrangle from an
-abstract cover, and the planar transversal configurations.
+"""Morphisms and covers between incidence structures: verification, the one
+backtracking morphism search behind cover enumeration, isomorphism search
+and automorphism extension, factorization through the canonical
+projection, the initial-object property, rebuilding the ambient quadrangle
+from an abstract cover, and the planar transversal configurations.
 """
 
 from __future__ import annotations
@@ -134,304 +135,175 @@ def verify_cover(m: GeometryMorphism):
     )
 
 
-# -- exhaustive cover enumeration ---------------------------------------------------
+# -- the morphism search: covers, isomorphisms, extensions --------------------------
 
 
-def _collinearity_bfs_order(g, root=0):
-    order = [root]
-    seen = [False] * g.point_count
-    seen[root] = True
-    head = 0
-    while head < len(order):
-        x = order[head]
-        head += 1
-        for li in g.point_lines[x]:
-            for y in g.lines[li]:
-                if not seen[y]:
-                    seen[y] = True
-                    order.append(y)
-    return order
+def _morphism_search(src, tgt, domains, *, injective, first_only, node_budget):
+    """Every locally bijective point map src -> tgt inside the starting domains.
+
+    Domain-filtering backtracking after Ullmann, "An algorithm for subgraph
+    isomorphism" (J. ACM 1976).  domains[x] is a bitmask over the target
+    points x may map to, so a singleton fixes x; it is cut to the points of
+    x's degree.  The point with the smallest domain is assigned first and
+    unit domains are assigned eagerly.  Assigning x -> w restricts the points
+    collinear with x to the strict neighbours of w.  A line's image is
+    derived the moment two of its points are assigned: the target line
+    through their images, of the same size, with pencil bijectivity enforced
+    at every assigned point; its unassigned points are restricted to that
+    line.  With `injective` w also leaves every other domain, and the points
+    not collinear with x are restricted to the points not collinear with w,
+    so collinearity is kept both ways.
+
+    Returns the complete assignments as sorted (point_map, line_map) tuples,
+    only the first one found with `first_only`; callers certify them.  Past
+    `node_budget` candidate images it raises BudgetExceeded, reporting the
+    nodes visited, the most points assigned at once and the solutions found.
+    """
+    n, nt = src.point_count, tgt.point_count
+    line_through = [{} for _ in range(nt)]
+    line_mask = []
+    for e, line in enumerate(tgt.lines):
+        mask = 0
+        for a in line:
+            mask |= 1 << a
+            for b in line:
+                if a != b:
+                    line_through[a][b] = e
+        line_mask.append(mask)
+    nbr, far, by_degree = [], [], {}
+    for w in range(nt):
+        mask = 0
+        for e in tgt.point_lines[w]:
+            mask |= line_mask[e]
+        nbr.append(mask & ~(1 << w))
+        far.append(((1 << nt) - 1) & ~mask & ~(1 << w))
+        deg = len(tgt.point_lines[w])
+        by_degree[deg] = by_degree.get(deg, 0) | (1 << w)
+    src_nbr = [
+        sorted({y for li in src.point_lines[x] for y in src.lines[li]} - {x})
+        for x in range(n)
+    ]
+    src_far = [sorted(set(range(n)) - set(src_nbr[x]) - {x}) for x in range(n)]
+
+    def assign(dom, img, limg, queue):
+        """Assign the queued (point, image) pairs and propagate; False on a
+        wiped-out domain or a clash of line images."""
+        while queue:
+            x, w = queue.pop()
+            if img[x] >= 0:
+                continue
+            img[x] = w
+            pencil = [limg[li] for li in src.point_lines[x] if limg[li] >= 0]
+            if len(set(pencil)) != len(pencil):
+                return False
+            cuts = [(src_nbr[x], nbr[w])]
+            if injective:
+                cuts.append((src_far[x], far[w]))
+            for li in src.point_lines[x]:
+                if limg[li] >= 0:
+                    continue
+                partner = next((y for y in src.lines[li] if y != x and img[y] >= 0), -1)
+                if partner < 0:
+                    continue
+                e = line_through[w].get(img[partner])
+                if e is None or len(tgt.lines[e]) != len(src.lines[li]):
+                    return False
+                for y in src.lines[li]:
+                    if img[y] >= 0 and any(limg[mj] == e for mj in src.point_lines[y]):
+                        return False
+                limg[li] = e
+                cuts.append((src.lines[li], line_mask[e]))
+            for ys, keep in cuts:
+                for y in ys:
+                    if img[y] < 0:
+                        new = dom[y] & keep
+                        if new != dom[y]:
+                            if not new:
+                                return False
+                            dom[y] = new
+                            if not new & (new - 1):
+                                queue.append((y, new.bit_length() - 1))
+        return True
+
+    solutions = []
+    nodes = deepest = 0
+
+    def search(dom, img, limg):
+        nonlocal nodes, deepest
+        free = [x for x in range(n) if img[x] < 0]
+        deepest = max(deepest, n - len(free))
+        if not free:
+            if -1 not in limg:
+                solutions.append((tuple(img), tuple(limg)))
+            return
+        x = min(free, key=lambda y: dom[y].bit_count())
+        cand = dom[x]
+        while cand and not (first_only and solutions):
+            low = cand & -cand
+            cand ^= low
+            nodes += 1
+            if nodes > node_budget:
+                raise BudgetExceeded(
+                    f"morphism search exceeded {node_budget} nodes: visited {nodes} "
+                    f"nodes, deepest {deepest} of {n} points assigned, "
+                    f"{len(solutions)} solutions found"
+                )
+            child = (dom[:], img[:], limg[:])
+            if assign(*child, [(x, low.bit_length() - 1)]):
+                search(*child)
+
+    dom = [d & by_degree.get(len(src.point_lines[x]), 0) for x, d in enumerate(domains)]
+    img, limg = [-1] * n, [-1] * src.line_count
+    units = [(x, d.bit_length() - 1) for x, d in enumerate(dom) if not d & (d - 1)]
+    if 0 not in dom and assign(dom, img, limg, units):
+        search(dom, img, limg)
+    return sorted(solutions)
+
+
+def _certified_cover(src, tgt, point_map, line_map):
+    m = GeometryMorphism(src, tgt, point_map, line_map)
+    cert = verify_cover(m)
+    if not isinstance(cert, CoverCertificate):
+        raise ConsistencyViolation(f"morphism search produced a non-cover: {cert.message}")
+    return m
 
 
 def enumerate_covers(A, E, *, node_budget=2_000_000, first_only=False):
-    """All covers A -> E, backtracking over point images in BFS order from
-    point 0 with candidate images ascending.  Line images are derived the
-    moment a line has two assigned points (the unique target line through the
-    image pair) and pencil bijectivity is enforced during the derivation, so
-    the tree collapses to the true degrees of freedom.  Every completed
-    assignment still passes through verify_cover before being returned.
-    Requires a connected source.
+    """All covers A -> E, sorted by (point_map, line_map); with `first_only`
+    the first one found.  `_morphism_search` runs non-injective with every
+    point of E open to every point of A (it keeps those of equal degree), and
+    each result is certified by verify_cover.  Requires a connected source.
     """
-    nA, mA = A.point_count, A.line_count
-    nE, mE = E.point_count, E.line_count
-    order = _collinearity_bfs_order(A)
-    if len(order) != nA:
+    if not A.is_connected():
         raise ValueError("cover enumeration requires a connected source")
-
-    # target line through a pair of collinear points (partial linear space)
-    joint = np.full((nE, nE), -1, dtype=np.int64)
-    for li, line in enumerate(E.lines):
-        for a in line:
-            for b in line:
-                if a != b:
-                    joint[a, b] = li
-    e_line_pts = [set(line) for line in E.lines]
-    deg_A = [len(A.point_lines[x]) for x in range(nA)]
-    deg_E = [len(E.point_lines[x]) for x in range(nE)]
-    strict_nbrs = [
-        set(np.nonzero(E.collinearity[x])[0].tolist()) - {x} for x in range(nE)
-    ]
-
-    pt_img = [-1] * nA
-    line_img = [-1] * mA
-    results = []
-    nodes = 0
-
-    def candidates(x):
-        cand = None
-        for li in A.point_lines[x]:
-            e_li = line_img[li]
-            if e_li >= 0:
-                allowed = e_line_pts[e_li] - {
-                    pt_img[y] for y in A.lines[li] if pt_img[y] >= 0
-                }
-            else:
-                allowed = None
-                for y in A.lines[li]:
-                    if y != x and pt_img[y] >= 0:
-                        nb = strict_nbrs[pt_img[y]]
-                        allowed = nb if allowed is None else allowed & nb
-                if allowed is None:
-                    continue
-            cand = set(allowed) if cand is None else cand & allowed
-        if cand is None:
-            cand = set(range(nE))
-        return sorted(w for w in cand if deg_E[w] == deg_A[x])
-
-    def derive_lines(x, w):
-        """Fix images of lines through x that now carry two assigned points;
-        returns the list of newly set lines, or None on a pencil clash."""
-        newly = []
-        for li in A.point_lines[x]:
-            if line_img[li] >= 0:
-                continue
-            partner = None
-            for y in A.lines[li]:
-                if y != x and pt_img[y] >= 0:
-                    partner = y
-                    break
-            if partner is None:
-                continue
-            e_li = int(joint[w, pt_img[partner]])
-            if e_li < 0:
-                return _undo(newly)
-            # pencil bijectivity at every assigned point of this line
-            for y in A.lines[li]:
-                if pt_img[y] < 0:
-                    continue
-                for mj in A.point_lines[y]:
-                    if mj != li and line_img[mj] == e_li:
-                        return _undo(newly)
-            line_img[li] = e_li
-            newly.append(li)
-        return newly
-
-    def _undo(newly):
-        for li in newly:
-            line_img[li] = -1
-        return None
-
-    def rec(k):
-        nonlocal nodes
-        if k == nA:
-            if -1 in line_img:
-                return False
-            m = GeometryMorphism(A, E, tuple(pt_img), tuple(line_img))
-            if isinstance(verify_cover(m), CoverCertificate):
-                results.append(m)
-                return first_only
-            return False
-        x = order[k]
-        for w in candidates(x):
-            nodes += 1
-            if nodes > node_budget:
-                raise BudgetExceeded(f"cover enumeration exceeded {node_budget} nodes")
-            pt_img[x] = w
-            newly = derive_lines(x, w)
-            if newly is not None:
-                if rec(k + 1):
-                    for li in newly:
-                        line_img[li] = -1
-                    pt_img[x] = -1
-                    return True
-                for li in newly:
-                    line_img[li] = -1
-            pt_img[x] = -1
-        return False
-
-    rec(0)
-    return results
+    found = _morphism_search(
+        A, E, [(1 << E.point_count) - 1] * A.point_count,
+        injective=False, first_only=first_only, node_budget=node_budget,
+    )
+    return [_certified_cover(A, E, pm, lm) for pm, lm in found]
 
 
 def find_isomorphism(g1, g2, *, node_budget=5_000_000):
     """An isomorphism g1 -> g2 as a GeometryMorphism, or None.
 
-    Backtracking over point images with candidate-domain propagation: domains
-    shrink through collinearity, derived line images and global injectivity;
-    the most constrained point is assigned first (unit assignments eagerly).
-    The completed map is certified through verify_cover (a bijective cover is
-    an isomorphism), so search-side shortcuts cannot produce a wrong answer.
+    After the size and degree prechecks, `_morphism_search` runs injective
+    from every point's same-degree candidates and stops at its first
+    solution, which is certified through verify_cover (a bijective cover is
+    an isomorphism).
     """
-    n, m = g1.point_count, g1.line_count
+    n = g1.point_count
     if (
         n != g2.point_count
-        or m != g2.line_count
+        or g1.line_count != g2.line_count
         or sorted(map(len, g1.lines)) != sorted(map(len, g2.lines))
+        or sorted(map(len, g1.point_lines)) != sorted(map(len, g2.point_lines))
     ):
         return None
-    deg1 = [len(g1.point_lines[x]) for x in range(n)]
-    deg2 = [len(g2.point_lines[x]) for x in range(n)]
-    if sorted(deg1) != sorted(deg2):
-        return None
-
-    joint = np.full((n, n), -1, dtype=np.int64)
-    for li, line in enumerate(g2.lines):
-        for a in line:
-            for b in line:
-                if a != b:
-                    joint[a, b] = li
-    nbr_mask = []
-    for x in range(n):
-        mask = 0
-        for y in np.nonzero(g2.collinearity[x])[0]:
-            if y != x:
-                mask |= 1 << int(y)
-        nbr_mask.append(mask)
-    line_mask2 = []
-    for line in g2.lines:
-        mask = 0
-        for p in line:
-            mask |= 1 << p
-        line_mask2.append(mask)
-
-    by_degree = {}
-    for w in range(n):
-        by_degree.setdefault(deg2[w], 0)
-        by_degree[deg2[w]] |= 1 << w
-
-    domain = [by_degree.get(deg1[x], 0) for x in range(n)]
-    img = [-1] * n
-    line_img = [-1] * m
-    used = 0
-    nodes = 0
-
-    def propagate(trail, queue):
-        """Assign queued points, derive lines, shrink domains; False on wipeout."""
-        nonlocal used
-        while queue:
-            x, w = queue.pop()
-            if img[x] >= 0:
-                if img[x] != w:
-                    return False
-                continue
-            if not (domain[x] >> w) & 1 or (used >> w) & 1:
-                return False
-            img[x] = w
-            trail.append(("pt", x))
-            used |= 1 << w
-            # injectivity plus collinearity restriction on every other domain
-            for y in range(n):
-                if img[y] < 0 and domain[y]:
-                    old = domain[y]
-                    new = old & ~(1 << w)
-                    if g1.collinearity[x][y] and y != x:
-                        new &= nbr_mask[w]
-                    if new != old:
-                        domain[y] = new
-                        trail.append(("dom", y, old))
-                        if new == 0:
-                            return False
-                        if new & (new - 1) == 0 and img[y] < 0:
-                            queue.append((y, new.bit_length() - 1))
-            # derive line images
-            for li in g1.point_lines[x]:
-                if line_img[li] >= 0:
-                    e_li = line_img[li]
-                else:
-                    partner = next(
-                        (y for y in g1.lines[li] if y != x and img[y] >= 0), None
-                    )
-                    if partner is None:
-                        continue
-                    e_li = int(joint[w, img[partner]])
-                    if e_li < 0:
-                        return False
-                    for y in g1.lines[li]:
-                        if img[y] >= 0:
-                            for mj in g1.point_lines[y]:
-                                if mj != li and line_img[mj] == e_li:
-                                    return False
-                    line_img[li] = e_li
-                    trail.append(("ln", li))
-                for y in g1.lines[li]:
-                    if img[y] < 0:
-                        old = domain[y]
-                        new = old & line_mask2[e_li]
-                        if new != old:
-                            domain[y] = new
-                            trail.append(("dom", y, old))
-                            if new == 0:
-                                return False
-                            if new & (new - 1) == 0:
-                                queue.append((y, new.bit_length() - 1))
-        return True
-
-    def undo(trail):
-        nonlocal used
-        while trail:
-            item = trail.pop()
-            if item[0] == "pt":
-                x = item[1]
-                used &= ~(1 << img[x])
-                img[x] = -1
-            elif item[0] == "ln":
-                line_img[item[1]] = -1
-            else:
-                domain[item[1]] = item[2]
-
-    def pick():
-        best, best_count = -1, None
-        for x in range(n):
-            if img[x] < 0:
-                c = domain[x].bit_count()
-                if best_count is None or c < best_count:
-                    best, best_count = x, c
-        return best
-
-    def rec():
-        nonlocal nodes
-        x = pick()
-        if x < 0:
-            if -1 in line_img:
-                return False
-            mor = GeometryMorphism(g1, g2, tuple(img), tuple(line_img))
-            return isinstance(verify_cover(mor), CoverCertificate)
-        cand = domain[x]
-        while cand:
-            w = (cand & -cand).bit_length() - 1
-            cand &= cand - 1
-            nodes += 1
-            if nodes > node_budget:
-                raise BudgetExceeded(f"isomorphism search exceeded {node_budget} nodes")
-            trail = []
-            if propagate(trail, [(x, w)]) and rec():
-                return True
-            undo(trail)
-        return False
-
-    if rec():
-        return GeometryMorphism(g1, g2, tuple(img), tuple(line_img))
-    return None
+    found = _morphism_search(
+        g1, g2, [(1 << n) - 1] * n, injective=True, first_only=True,
+        node_budget=node_budget,
+    )
+    return _certified_cover(g1, g2, *found[0]) if found else None
 
 
 # -- factorization through the canonical projection -----------------------------------

@@ -218,9 +218,6 @@ class GF:
     def scale(self, c, v):
         return tuple(self.mul(c, x) for x in v)
 
-    def vadd(self, u, v):
-        return tuple(self.add(x, y) for x, y in zip(u, v))
-
     def rank(self, rows):
         """Row rank of a matrix (iterable of coordinate tuples) over the field."""
         rows = [list(r) for r in rows if any(r)]

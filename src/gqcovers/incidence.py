@@ -526,18 +526,3 @@ def is_connected(g):
 def has_triangle(g):
     return g.has_triangle()
 
-
-def perp(g, x):
-    return g.perp(x)
-
-
-def perp_set(g, Y):
-    return g.perp_set(Y)
-
-
-def biperp(g, Y):
-    return g.biperp(Y)
-
-
-def cl(g, u, v):
-    return g.cl(u, v)

@@ -397,18 +397,25 @@ def census_report(records, *, q=None) -> OrbitReport:
 
 
 def _load_checkpoint(path, found_points, done_pairs):
+    """Read the complete lines of a checkpoint.  A torn tail from an
+    interrupted write is cut off, so the walk appends after the last complete
+    line and redoes the torn pair."""
     if not os.path.exists(path):
         return
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                item = json.loads(line)
-            except json.JSONDecodeError:
-                break  # torn tail from an interrupted write; redo from there
-            if item["type"] == "subgq":
-                found_points[tuple(item["points"])] = tuple(item["lines"])
-            elif item["type"] == "pair_done":
-                done_pairs.add(item["index"])
+    good = 0
+    with open(path, "rb") as fh:
+        for raw in fh:
+            if not raw.endswith(b"\n"):
+                break
+            if raw.strip():
+                try:
+                    item = json.loads(raw)
+                except json.JSONDecodeError:
+                    break
+                if item["type"] == "subgq":
+                    found_points[tuple(item["points"])] = tuple(item["lines"])
+                elif item["type"] == "pair_done":
+                    done_pairs.add(item["index"])
+            good += len(raw)
+    if good < os.path.getsize(path):
+        os.truncate(path, good)

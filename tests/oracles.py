@@ -105,6 +105,31 @@ def brute_spg_parameters(g):
     return s_star, t_star, alpha, mu
 
 
+def brute_covers(src, tgt):
+    """Every point map src -> tgt whose derived line map is locally
+    bijective: each line onto a target line of the same size, each pencil
+    onto the pencil of the image point.  Returns the set of (point_map,
+    line_map) pairs (tiny structures)."""
+    line_of = {frozenset(line): i for i, line in enumerate(tgt.lines)}
+
+    def pencils(g):
+        return [sorted(i for i, line in enumerate(g.lines) if x in line)
+                for x in range(g.point_count)]
+
+    src_pencil, tgt_pencil = pencils(src), pencils(tgt)
+    out = set()
+    for pm in itertools.product(range(tgt.point_count), repeat=src.point_count):
+        images = [frozenset(pm[p] for p in line) for line in src.lines]
+        if any(len(im) != len(line) or im not in line_of
+               for im, line in zip(images, src.lines)):
+            continue
+        lm = tuple(line_of[im] for im in images)
+        if all(sorted(lm[i] for i in src_pencil[x]) == tgt_pencil[pm[x]]
+               for x in range(src.point_count)):
+            out.add((pm, lm))
+    return out
+
+
 def brute_automorphism_count(g):
     """Count point permutations sending lines to lines (tiny structures)."""
     lineset = set(g.lines)

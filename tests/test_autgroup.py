@@ -22,6 +22,7 @@ from gqcovers.autgroup import (
     setwise_stabilizer,
 )
 from gqcovers.constructions import build_grid, build_Q4, build_Q4_with_Q3
+from gqcovers.covers import _morphism_search
 from gqcovers.errors import BudgetExceeded, HypothesisError
 from gqcovers.incidence import IncidenceStructure
 
@@ -52,6 +53,10 @@ def test_group_order_vs_brute_force(lines, expected):
     g = IncidenceStructure(n, lines)
     assert brute_automorphism_count(g) == expected
     assert automorphism_group(g).order() == expected
+    autos = _morphism_search(
+        g, g, [(1 << n) - 1] * n, injective=True, first_only=False, node_budget=10**6
+    )
+    assert len(autos) == len(set(autos)) == expected
 
 
 @pytest.mark.parametrize("s", [2, 3, 4])

@@ -146,16 +146,3 @@ def test_aut_stabilize_cli(workdir, capsys):
     assert run(["aut", "--geometry", "g.json", "--stabilize", "subset.json"]) == 0
     out = _json.loads(capsys.readouterr().out)
     assert out["order"] == 51840 and out["stabilizer_order"] == 1440
-
-
-def test_parallel_enumeration_matches_serial():
-    import types
-
-    from gqcovers.cli import _enumerate_parallel
-    from gqcovers.constructions import QClanSpec, build_kantor_knuth
-    from gqcovers.kkcensus import enumerate_subgqs_through_line
-
-    res = build_kantor_knuth(QClanSpec(3, 0, 2))
-    par = _enumerate_parallel(res, types.SimpleNamespace(workers=2, q=3))
-    ser = enumerate_subgqs_through_line(res.structure, res.infinity_line)
-    assert [r.points for r in par] == [r.points for r in ser]

@@ -1,8 +1,10 @@
 import random
+import re
 
 import pytest
 
-from gqcovers.autgroup import Permutation, automorphism_group
+from gqcovers.autgroup import Permutation, automorphism_group, extend_automorphism
+from gqcovers.constructions import build_Q4, build_W
 from gqcovers.covers import (
     CoverCertificate,
     CoverFailure,
@@ -18,8 +20,10 @@ from gqcovers.covers import (
     verify_initial_object,
     verify_morphism,
 )
-from gqcovers.errors import HypothesisError
+from gqcovers.errors import BudgetExceeded, HypothesisError
 from gqcovers.incidence import IncidenceStructure
+
+from .oracles import brute_covers
 
 
 def test_pi_is_a_cover(pair_q2):
@@ -65,6 +69,20 @@ def test_enumerate_covers_q2(pair_q2):
     assert len(covs) == group.order() == 720
     assert pair_q2.pi in covs
     assert len(set(covs)) == len(covs)
+    assert covs == sorted(covs, key=lambda c: (c.point_map, c.line_map))
+
+
+def _cycle(k):
+    return IncidenceStructure(k, [(i, (i + 1) % k) for i in range(k)])
+
+
+@pytest.mark.parametrize("k,j,count", [(6, 3, 6), (9, 3, 6), (6, 6, 12), (6, 4, 0)])
+def test_enumerate_covers_vs_brute_force(k, j, count):
+    """Covers of a j-cycle by a k-cycle (points with 2-point lines)."""
+    src, tgt = _cycle(k), _cycle(j)
+    found = {(c.point_map, c.line_map) for c in enumerate_covers(src, tgt)}
+    assert found == brute_covers(src, tgt)
+    assert len(found) == count
 
 
 def test_enumerate_covers_empty_for_wrong_target(pair_q2):
@@ -191,6 +209,41 @@ def test_find_isomorphism_negative(grid2, q4_2):
     assert find_isomorphism(grid2, q4_2) is None  # different sizes
     other = IncidenceStructure(9, grid2.lines[:-1])
     assert find_isomorphism(other, grid2) is None  # different line counts
+    # equal sizes and degrees: W(q) is the dual of Q(4,q), self-dual only for even q
+    assert find_isomorphism(build_W(3), build_Q4(3)) is None
+
+
+def _progress(err):
+    """(visited, deepest, points, solutions) from a morphism-search budget error."""
+    m = re.search(
+        r"visited (\d+) nodes, deepest (\d+) of (\d+) points assigned, "
+        r"(\d+) solutions found",
+        str(err.value),
+    )
+    assert m, str(err.value)
+    return tuple(int(v) for v in m.groups())
+
+
+def test_budget_reports_progress_covers(pair_q2):
+    with pytest.raises(BudgetExceeded) as err:
+        enumerate_covers(pair_q2.A, pair_q2.E, node_budget=100)
+    visited, deepest, points, solutions = _progress(err)
+    assert visited == 101 and deepest == points == pair_q2.A.point_count
+    assert 0 < solutions < 720
+
+
+def test_budget_reports_progress_isomorphism(q4_2):
+    with pytest.raises(BudgetExceeded) as err:
+        find_isomorphism(build_W(2), q4_2, node_budget=3)
+    visited, deepest, points, solutions = _progress(err)
+    assert visited == 4 and 0 < deepest < points == 15 and solutions == 0
+
+
+def test_budget_reports_progress_extension(q5q4_2):
+    amb, emb = q5q4_2
+    with pytest.raises(BudgetExceeded) as err:
+        extend_automorphism(emb, Permutation.identity(emb.substructure), node_budget=1)
+    assert _progress(err) == (2, amb.point_count, amb.point_count, 1)
 
 
 def test_initial_object_alpha_composition(pair_q2):

@@ -1,3 +1,4 @@
+import json
 import os
 
 import pytest
@@ -108,6 +109,44 @@ def test_checkpoint_resume(tmp_path):
     resumed = enumerate_subgqs_through_line(g, 0, checkpoint_dir=str(ck))
     fresh = enumerate_subgqs_through_line(g, 0)
     assert [r.points for r in resumed] == [r.points for r in fresh]
+
+
+def _readable_checkpoint(path):
+    """Pair indices and subquadrangle point sets in the readable prefix of a
+    checkpoint: its lines up to the first one that does not parse."""
+    done, recs = [], []
+    with open(path) as fh:
+        for line in fh:
+            try:
+                item = json.loads(line)
+            except json.JSONDecodeError:
+                break
+            if item["type"] == "pair_done":
+                done.append(item["index"])
+            else:
+                recs.append(tuple(item["points"]))
+    return done, recs
+
+
+def test_checkpoint_torn_tail_resume(kk3, tmp_path):
+    """A resume after a torn last line moves the readable prefix forward and
+    counts no pair and no subquadrangle twice."""
+    g, inf = kk3.structure, kk3.infinity_line
+    ck = tmp_path / "ck"
+    path = ck / "progress.jsonl"
+    enumerate_subgqs_through_line(g, inf, checkpoint_dir=str(ck), pair_range=(0, 20))
+    assert sorted(_readable_checkpoint(path)[0]) == list(range(20))
+    os.truncate(path, path.stat().st_size - 7)
+    assert sorted(_readable_checkpoint(path)[0]) == list(range(19))
+    for hi in (40, 60):
+        resumed = enumerate_subgqs_through_line(
+            g, inf, checkpoint_dir=str(ck), pair_range=(0, hi)
+        )
+        done, recs = _readable_checkpoint(path)
+        assert sorted(done) == list(range(hi))
+        assert len(set(recs)) == len(recs)
+        fresh = enumerate_subgqs_through_line(g, inf, pair_range=(0, hi))
+        assert sorted(recs) == [r.points for r in fresh] == [r.points for r in resumed]
 
 
 def test_kk3_classical_census(kk3):
