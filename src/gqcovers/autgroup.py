@@ -15,8 +15,6 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
 from .errors import BudgetExceeded, ConsistencyViolation, HypothesisError
 
 # -- elementary permutation helpers (tuples, p[i] = image of i) -----------------
@@ -689,29 +687,27 @@ def extend_automorphism(emb, phi: Permutation, mode="find_all", *, node_budget=2
     the elementwise kernel order (checked whenever both are computed).
     """
     from .covers import _morphism_search
-    from .subtension import _ovoid_matrix, _validate_ovoid_rows
 
     amb = emb.ambient
     sub = emb.substructure
     if phi.structure is not sub:
         raise ValueError("phi must permute the subgeometry")
 
-    mat = _ovoid_matrix(emb)
-    _validate_ovoid_rows(emb, mat)
-    uniq, inverse_idx = np.unique(mat, axis=0, return_inverse=True)
-    key_of_row = {row.tobytes(): k for k, row in enumerate(uniq)}
-    subtenders = [0] * len(uniq)
-    for i, p in enumerate(emb.external_points):
-        subtenders[inverse_idx[i]] |= 1 << p
+    classes = emb.ovoid_classes
+    traces = classes.rows[classes.representatives]
+    class_of_trace = {row.tobytes(): k for k, row in enumerate(traces)}
+    members = classes.subtenders()
+    subtenders = [sum(1 << p for p in m.tolist()) for m in members]
 
     domains = [0] * amb.point_count
     for x, p in enumerate(emb.point_subset):
         domains[p] = 1 << emb.point_subset[phi.point_images[x]]
     inv_phi = list(inverse(phi.point_images))
-    for i, p in enumerate(emb.external_points):
-        k = key_of_row.get(mat[i][inv_phi].tobytes())
+    for m, image in zip(members, traces[:, inv_phi]):
+        k = class_of_trace.get(image.tobytes())
         if k is not None:
-            domains[p] = subtenders[k]
+            for p in m.tolist():
+                domains[p] = subtenders[k]
     found = _morphism_search(
         amb, amb, domains, injective=True, first_only=mode == "find_one",
         node_budget=node_budget,

@@ -15,7 +15,7 @@ import time
 
 import numpy as np
 
-from . import covers as covers_mod
+from . import constructions, covers as covers_mod
 from .autgroup import (
     Permutation,
     automorphism_group,
@@ -26,6 +26,7 @@ from .autgroup import (
     setwise_stabilizer,
 )
 from .constructions import (
+    THETA_TABLE,
     QClanSpec,
     build_grid,
     build_H4_with_H3,
@@ -526,20 +527,10 @@ def _suite_spg_all(check, *, seed, budget, no_build, cache):
     check("gate-negative", gate_fails)
 
     def census_table():
-        expected = [
-            (build_Q5_with_Q4, 2, 2),
-            (build_Q5_with_Q4, 3, 2),
-            (build_Q5_with_Q3, 2, 3),
-            (build_Q5_with_Q3, 3, 4),
-            (build_Q4_with_Q3, 2, 1),
-            (build_Q4_with_Q3, 3, 2),
-            (build_Q4_with_Q3, 4, 1),
-            (build_H4_with_H3, 2, 3),
-        ]
-        for builder, q, theta in expected:
-            _a, e = builder(q)
+        for (name, q), theta in THETA_TABLE.items():
+            _a, e = getattr(constructions, name)(q)
             c = theta_census(e)
-            assert c.uniform and c.theta == theta, (builder.__name__, q, c.counts)
+            assert c.uniform and c.theta == theta, (name, q, c.counts)
         return "all eight censuses uniform with the expected multiplicity"
 
     check("theta-census-table", census_table)

@@ -200,6 +200,20 @@ def build_H4_with_H3(q):
     return amb, _coordinate_section(amb, (4,))
 
 
+# The theta-census table: (section builder, q) -> theta, the number of external
+# points subtending each subtended ovoid (the same for every ovoid).
+THETA_TABLE = {
+    ("build_Q5_with_Q4", 2): 2,
+    ("build_Q5_with_Q4", 3): 2,
+    ("build_Q5_with_Q3", 2): 3,
+    ("build_Q5_with_Q3", 3): 4,
+    ("build_Q4_with_Q3", 2): 1,
+    ("build_Q4_with_Q3", 3): 2,
+    ("build_Q4_with_Q3", 4): 1,
+    ("build_H4_with_H3", 2): 3,
+}
+
+
 def points_coplanar(g, points) -> bool:
     """True iff the homogeneous coordinates of the points span <= 3 dimensions."""
     if g.coords is None or g.field is None:

@@ -12,7 +12,7 @@ from typing import Optional
 
 import numpy as np
 
-from .autgroup import inverse
+from .autgroup import Permutation, inverse
 from .errors import BudgetExceeded, ConsistencyViolation, HypothesisError
 
 # -- morphisms -----------------------------------------------------------------
@@ -357,7 +357,10 @@ def factorize_lower(pair, gamma: GeometryMorphism) -> FactorizationResult:
             )
         e_line_perm[target_ln] = images.pop()
 
-    _check_structure_automorphism(E, e_point_perm, e_line_perm)
+    try:
+        Permutation(E, tuple(e_point_perm), tuple(e_line_perm))
+    except ValueError as exc:
+        raise ConsistencyViolation(f"factorization breaks E: {exc}") from exc
     for p in range(A.point_count):
         if e_point_perm[pi.point_map[p]] != gamma.point_map[p]:
             raise ConsistencyViolation("factorization identity fails on a point")
@@ -370,16 +373,6 @@ def factorize_lower(pair, gamma: GeometryMorphism) -> FactorizationResult:
     return FactorizationResult(
         tuple(e_point_perm), tuple(e_line_perm), base_map, orientation
     )
-
-
-def _check_structure_automorphism(g, point_perm, line_perm):
-    n, m = g.point_count, g.line_count
-    if sorted(point_perm) != list(range(n)) or sorted(line_perm) != list(range(m)):
-        raise ConsistencyViolation("candidate automorphism is not bijective")
-    for li, line in enumerate(g.lines):
-        image = tuple(sorted(point_perm[p] for p in line))
-        if image != g.lines[line_perm[li]]:
-            raise ConsistencyViolation("candidate automorphism breaks incidence")
 
 
 def _base_point_map(pair, gamma) -> tuple:
@@ -487,7 +480,10 @@ def verify_initial_object(pair, gamma, gamma_prime) -> ConnectingReport:
     for k, v in forced_ln.items():
         if delta_ln[k] != v:
             raise ConsistencyViolation("connecting map disagrees with the forcing")
-    _check_structure_automorphism(pair.E, delta_pt, delta_ln)
+    try:
+        Permutation(pair.E, delta_pt, delta_ln)
+    except ValueError as exc:
+        raise ConsistencyViolation(f"connecting map breaks E: {exc}") from exc
     return ConnectingReport(delta_pt, delta_ln, unique)
 
 

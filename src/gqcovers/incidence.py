@@ -5,6 +5,8 @@ of point indices, in lexicographic order, with duplicate lines rejected at
 construction.  Collinearity is cached as a dense boolean matrix; the point
 by line incidence matrix is dense for small structures and scipy.sparse
 above ~5e7 cells (the 7300-point stretch geometry would need ~437MB dense).
+Line and contact counts use the smallest unsigned type that cannot wrap.
+`ovoid_classes` groups the points off a subset by their traces on it.
 """
 
 from __future__ import annotations
@@ -112,19 +114,19 @@ class IncidenceStructure:
             return inc
         return sparse.csc_matrix(inc.astype(np.int8))
 
+    def _common_lines(self):
+        """Sparse symmetric count of the lines through both of two points, in
+        the smallest unsigned type that holds the largest point degree."""
+        inc = self._incidence_sparse
+        inc = inc.astype(np.min_scalar_type(np.bincount(inc.indices).max(initial=0)))
+        return inc @ inc.T
+
     @cached_property
     def collinearity(self):
         """Dense boolean matrix; entry (x,y) true iff x,y share a line or x == y."""
-        inc = self._incidence_sparse
-        common = (inc @ inc.T).toarray()
-        coll = common > 0
+        coll = self._common_lines().toarray() > 0
         np.fill_diagonal(coll, True)
         return coll
-
-    @cached_property
-    def _common_line_counts(self):
-        inc = self._incidence_sparse
-        return (inc @ inc.T).toarray().astype(np.int32)
 
     @cached_property
     def uniform_line_size(self):
@@ -185,12 +187,11 @@ class IncidenceStructure:
         triangle scan; done blockwise through the sparse incidence matrix so
         the stretch-size geometry stays within memory.
         """
-        coll8 = self.collinearity.astype(np.int8)
-        inc = self._incidence_sparse
+        dtype = np.min_scalar_type(max(map(len, self.lines), default=0))
         if line_block is None:
             line_block = np.arange(self.line_count)
-        sub = inc[:, line_block]
-        return np.asarray((sub.T @ coll8).T)
+        sub = self._incidence_sparse[:, line_block].astype(dtype)
+        return np.asarray((sub.T @ self.collinearity.astype(dtype)).T)
 
     # -- global predicates ----------------------------------------------------
 
@@ -339,13 +340,10 @@ def verify_gq_axioms(g: IncidenceStructure) -> Union[GQOrder, AxiomFailure]:
         return AxiomFailure("a", (0,), f"points lie on {deg} < 2 lines")
     s, t = size - 1, deg - 1
 
-    common = g._common_line_counts
-    off = common - np.diag(np.diag(common))
-    if off.max() > 1:
-        x, y = np.unravel_index(int(off.argmax()), off.shape)
-        return AxiomFailure(
-            "c", (int(x), int(y)), f"points {x},{y} share {int(off.max())} lines"
-        )
+    shared = _repeated_line_pair(g)
+    if shared is not None:
+        x, y, count = shared
+        return AxiomFailure("c", (x, y), f"points {x},{y} share {count} lines")
 
     block = 4096
     for start in range(0, g.line_count, block):
@@ -367,12 +365,73 @@ def verify_gq_axioms(g: IncidenceStructure) -> Union[GQOrder, AxiomFailure]:
     return GQOrder(s, t)
 
 
+def _repeated_line_pair(g: IncidenceStructure):
+    """(x, y, count) for the first point pair in row-major order on the most
+    common lines, when that is more than one line; None otherwise."""
+    common = g._common_lines()
+    common.setdiag(0)
+    if not common.nnz or common.data.max() <= 1:
+        return None
+    # symmetric: the compressed axis can be read as the row
+    common.sort_indices()
+    first = int(common.data.argmax())
+    x = int(np.searchsorted(common.indptr, first, side="right")) - 1
+    return x, int(common.indices[first]), int(common.data[first])
+
+
 def gq_order(g: IncidenceStructure) -> GQOrder:
     """verify_gq_axioms that raises on failure (for callers that require a GQ)."""
     res = verify_gq_axioms(g)
     if isinstance(res, AxiomFailure):
         raise ConsistencyViolation(f"{g!r} is not a generalized quadrangle: {res.message}")
     return res
+
+
+# -- ovoid classes ----------------------------------------------------------------
+
+
+class OvoidClasses(NamedTuple):
+    """The points off a point subset, grouped by the subset points they are
+    collinear with (their trace); classes in ascending order of trace row."""
+
+    external: np.ndarray  # ambient indices of the points off the subset, ascending
+    rows: np.ndarray  # bool (external x subset): the trace of each external point
+    class_of: np.ndarray  # class id of each external point
+    sizes: np.ndarray  # external points per class (its theta)
+    representatives: np.ndarray  # row of the first external point of each class
+
+    def subtenders(self):
+        """The external points of each class, ascending."""
+        order = np.argsort(self.class_of, kind="stable")
+        return np.split(self.external[order], np.cumsum(self.sizes)[:-1])
+
+
+def ovoid_classes(g: IncidenceStructure, point_subset) -> OvoidClasses:
+    """Group the points off point_subset by their trace on it.  Rows are
+    compared as packed bits, whose byte order sorts as the bool rows do."""
+    sub = np.asarray(point_subset, dtype=np.int64)
+    external = np.setdiff1d(np.arange(g.point_count), sub)
+    rows = g.collinearity[np.ix_(external, sub)]
+    _packed, first, class_of, sizes = np.unique(
+        np.packbits(rows, axis=1), axis=0,
+        return_index=True, return_inverse=True, return_counts=True,
+    )
+    return OvoidClasses(external, rows, class_of, sizes, first)
+
+
+def _validate_ovoid_rows(emb, rows):
+    """Every trace row must meet every substructure line exactly once."""
+    inc = emb.substructure.incidence
+    if not isinstance(inc, np.ndarray):
+        inc = np.asarray(inc.todense(), dtype=bool)
+    if inc.size:
+        counts = rows.astype(np.int16) @ inc.astype(np.int16)
+        if counts.size and (counts.min() < 1 or counts.max() > 1):
+            bad = np.argwhere((counts < 1) | (counts > 1))[0]
+            raise ConsistencyViolation(
+                f"external point {emb.external_points[bad[0]]} traces a non-ovoid: "
+                f"line {bad[1]} met {counts[bad[0], bad[1]]} times"
+            )
 
 
 # -- subgeometries ----------------------------------------------------------------
@@ -453,6 +512,14 @@ class SubGeometryEmbedding:
     def external_points(self):
         pset = set(self.point_subset)
         return tuple(p for p in range(self.ambient.point_count) if p not in pset)
+
+    @cached_property
+    def ovoid_classes(self) -> OvoidClasses:
+        """The external points classed by their traces, each trace checked to
+        meet every subgeometry line exactly once."""
+        classes = ovoid_classes(self.ambient, self.point_subset)
+        _validate_ovoid_rows(self, classes.rows)
+        return classes
 
     @cached_property
     def sub_line_of_ambient(self):

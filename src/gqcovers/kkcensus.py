@@ -20,7 +20,9 @@ from typing import Optional
 import numpy as np
 
 from .errors import BudgetExceeded, ConsistencyViolation
-from .incidence import IncidenceStructure, SubGeometryEmbedding, induced_subgeometry, gq_order
+from .incidence import (IncidenceStructure, SubGeometryEmbedding, gq_order,
+                        induced_subgeometry, ovoid_classes)
+from .subtension import _census
 
 
 @dataclass
@@ -279,30 +281,18 @@ def _is_full_subgq(pts, lns, line_pts, point_lns, s):
 
 
 def record_census(rec: SubGQRecord, *, s, tprime):
-    """Subtender census of one record, computed directly on masks (the
-    embedding machinery is too heavy to rebuild hundreds of times)."""
-    g = rec.ambient
-    sub = np.array(rec.points, dtype=np.int64)
-    mask = np.zeros(g.point_count, dtype=bool)
-    mask[sub] = True
-    ext = np.nonzero(~mask)[0]
-    rows = g.collinearity[np.ix_(ext, sub)]
-    sizes = rows.sum(axis=1)
+    """Subtender census of one record, classed straight from its point set
+    (the embedding machinery is too heavy to rebuild hundreds of times)."""
+    classes = ovoid_classes(rec.ambient, rec.points)
+    sizes = classes.rows.sum(axis=1)
     expected = s * tprime + 1
     if sizes.size and (sizes.min() != expected or sizes.max() != expected):
         raise ConsistencyViolation(
             f"external point traces {int(sizes.min())}..{int(sizes.max())} "
             f"points, expected {expected}"
         )
-    packed = np.packbits(rows, axis=1)  # dedupe on bytes, ~8x less to sort
-    _uniq, counts = np.unique(packed, axis=0, return_counts=True)
-    census = {}
-    for c in counts:
-        census[int(c)] = census.get(int(c), 0) + 1
-    for theta in census:
-        if (theta - 1) * tprime > s:
-            raise ConsistencyViolation("subtension bound violated in a record census")
-    if sum(t * k for t, k in census.items()) != len(ext):
+    census = _census(classes.sizes, s=s, tprime=tprime).counts
+    if sum(t * k for t, k in census.items()) != len(classes.external):
         raise ConsistencyViolation("external-point accounting failed")
     rec.census = census
     rec.doubly_subtended = set(census) == {2}
@@ -317,31 +307,14 @@ def doubling_involution(rec: SubGQRecord):
     from .autgroup import Permutation
 
     g = rec.ambient
-    sub = np.array(rec.points, dtype=np.int64)
-    mask = np.zeros(g.point_count, dtype=bool)
-    mask[sub] = True
-    ext = np.nonzero(~mask)[0]
-    rows = g.collinearity[np.ix_(ext, sub)]
-    packed = np.packbits(rows, axis=1)
-    _uniq, inverse, counts = np.unique(
-        packed, axis=0, return_inverse=True, return_counts=True
-    )
-    if set(counts.tolist()) != {2}:
+    classes = ovoid_classes(g, rec.points)
+    if set(classes.sizes.tolist()) != {2}:
         return None
-    partner_of = {}
-    first_seen = {}
-    for i, key in enumerate(inverse):
-        k = int(key)
-        if k in first_seen:
-            partner_of[int(ext[first_seen[k]])] = int(ext[i])
-            partner_of[int(ext[i])] = int(ext[first_seen[k]])
-        else:
-            first_seen[k] = i
-    images = list(range(g.point_count))
-    for x, y in partner_of.items():
-        images[x] = y
+    x, y = np.stack(classes.subtenders()).T
+    images = np.arange(g.point_count)
+    images[x], images[y] = y, x
     try:
-        return Permutation.from_points(g, tuple(images))
+        return Permutation.from_points(g, tuple(images.tolist()))
     except ValueError:
         return None
 

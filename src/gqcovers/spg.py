@@ -13,6 +13,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import HypothesisError
+from .incidence import _repeated_line_pair
 
 
 @dataclass(frozen=True)
@@ -73,13 +74,11 @@ def verify_spg(E, expected: Optional[SPGParameters] = None) -> SPGReport:
         )
     t_star = int(degrees[0]) - 1
 
-    common = E._common_line_counts
-    off = common - np.diag(np.diag(common))
-    if off.max() > 1:
-        x, y = np.unravel_index(int(off.argmax()), off.shape)
+    shared = _repeated_line_pair(E)
+    if shared is not None:
         return SPGReport(
             None,
-            SPGFailure("linearity", (int(x), int(y)), "two points on two common lines"),
+            SPGFailure("linearity", shared[:2], "two points on two common lines"),
             False, False,
         )
 

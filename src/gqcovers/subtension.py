@@ -11,7 +11,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConsistencyViolation, HypothesisError
-from .incidence import IncidenceStructure, SubGeometryEmbedding
+from .incidence import IncidenceStructure, SubGeometryEmbedding, gq_order
 from . import covers
 
 
@@ -48,27 +48,25 @@ class CensusReport:
     external_count: int
 
 
-def _ovoid_matrix(emb: SubGeometryEmbedding):
-    """Rows: external points; columns: substructure points; True iff collinear."""
-    amb = emb.ambient
-    ext = np.array(emb.external_points, dtype=np.int64)
-    sub = np.array(emb.point_subset, dtype=np.int64)
-    return amb.collinearity[np.ix_(ext, sub)]
-
-
-def _validate_ovoid_rows(emb, mat):
-    """Every row must meet every substructure line exactly once."""
-    inc = emb.substructure.incidence
-    if not isinstance(inc, np.ndarray):
-        inc = np.asarray(inc.todense(), dtype=bool)
-    if inc.size:
-        counts = mat.astype(np.int16) @ inc.astype(np.int16)
-        if counts.size and (counts.min() < 1 or counts.max() > 1):
-            bad = np.argwhere((counts < 1) | (counts > 1))[0]
+def _census(sizes, *, s, tprime) -> CensusReport:
+    """The census of a list of class sizes, with the bound (theta-1)*t' <= s
+    asserted for every occurring theta."""
+    counts = {}
+    for theta in sizes.tolist():
+        counts[theta] = counts.get(theta, 0) + 1
+    for theta in counts:
+        if (theta - 1) * tprime > s:
             raise ConsistencyViolation(
-                f"external point {emb.external_points[bad[0]]} traces a non-ovoid: "
-                f"line {bad[1]} met {counts[bad[0], bad[1]]} times"
+                f"subtension bound violated: theta={theta}, t'={tprime}, s={s}"
             )
+    uniform = len(counts) == 1
+    return CensusReport(
+        counts=counts,
+        uniform=uniform,
+        theta=next(iter(counts)) if uniform else None,
+        ovoid_count=len(sizes),
+        external_count=int(sizes.sum()),
+    )
 
 
 def subtended_ovoid(emb: SubGeometryEmbedding, x) -> Ovoid:
@@ -78,20 +76,17 @@ def subtended_ovoid(emb: SubGeometryEmbedding, x) -> Ovoid:
         raise ValueError(f"point {x} lies in the subgeometry")
     if not 0 <= x < emb.ambient.point_count:
         raise ValueError(f"invalid point {x}")
-    mat = _ovoid_matrix(emb)
-    _validate_ovoid_rows(emb, mat)
-    ext_index = {p: i for i, p in enumerate(emb.external_points)}
-    row = mat[ext_index[x]]
-    same = np.nonzero((mat == row).all(axis=1))[0]
-    subtenders = tuple(emb.external_points[i] for i in same)
-    pts = frozenset(int(i) for i in np.nonzero(row)[0])
+    classes = emb.ovoid_classes
+    i = int(np.searchsorted(classes.external, x))
+    subtenders = classes.external[classes.class_of == classes.class_of[i]]
+    pts = frozenset(np.nonzero(classes.rows[i])[0].tolist())
     if emb.sub_order is not None:
         expected = emb.sub_order.s * emb.sub_order.t + 1
         if len(pts) != expected:
             raise ConsistencyViolation(
                 f"subtended ovoid has {len(pts)} points, expected {expected}"
             )
-    return Ovoid(emb.substructure, pts, subtenders)
+    return Ovoid(emb.substructure, pts, tuple(subtenders.tolist()))
 
 
 def theta_census(emb: SubGeometryEmbedding) -> CensusReport:
@@ -99,29 +94,8 @@ def theta_census(emb: SubGeometryEmbedding) -> CensusReport:
     (theta-1)*t' <= s asserted for every occurring theta."""
     if emb.sub_order is None:
         raise HypothesisError("census needs a subgeometry that is a quadrangle")
-    from .incidence import gq_order
-
     s, _t = gq_order(emb.ambient)
-    tprime = emb.sub_order.t
-    mat = _ovoid_matrix(emb)
-    _validate_ovoid_rows(emb, mat)
-    _uniq, counts = np.unique(mat, axis=0, return_counts=True)
-    census = {}
-    for c in counts:
-        census[int(c)] = census.get(int(c), 0) + 1
-    for theta in census:
-        if (theta - 1) * tprime > s:
-            raise ConsistencyViolation(
-                f"subtension bound violated: theta={theta}, t'={tprime}, s={s}"
-            )
-    uniform = len(census) == 1
-    return CensusReport(
-        counts=census,
-        uniform=uniform,
-        theta=next(iter(census)) if uniform else None,
-        ovoid_count=int(counts.size),
-        external_count=len(emb.external_points),
-    )
+    return _census(emb.ovoid_classes.sizes, s=s, tprime=emb.sub_order.t)
 
 
 # -- the derived pair -------------------------------------------------------------
@@ -184,32 +158,20 @@ def build_derived_pair(emb: SubGeometryEmbedding) -> DerivedPair:
     for li, ai in a_line_of_ambient.items():
         ambient_of_a_line[ai] = li
 
-    mat = _ovoid_matrix(emb)
-    _validate_ovoid_rows(emb, mat)
-    uniq, inverse, counts = np.unique(mat, axis=0, return_inverse=True, return_counts=True)
-    omega_points = [frozenset(int(i) for i in np.nonzero(row)[0]) for row in uniq]
-    subtenders = [[] for _ in range(len(uniq))]
-    for i, p in enumerate(ext):
-        subtenders[inverse[i]].append(p)
+    classes = emb.ovoid_classes
+    class_of = classes.class_of
     ovoids = tuple(
-        Ovoid(emb.substructure, omega_points[k], tuple(subtenders[k]))
-        for k in range(len(uniq))
+        Ovoid(
+            emb.substructure,
+            frozenset(np.nonzero(classes.rows[r])[0].tolist()),
+            tuple(members.tolist()),
+        )
+        for r, members in zip(classes.representatives, classes.subtenders())
     )
-
-    census_map = {}
-    for c in counts:
-        census_map[int(c)] = census_map.get(int(c), 0) + 1
-    uniform = len(census_map) == 1
-    census = CensusReport(
-        counts=census_map,
-        uniform=uniform,
-        theta=next(iter(census_map)) if uniform else None,
-        ovoid_count=len(uniq),
-        external_count=len(ext),
-    )
+    s = emb.sub_order.s
+    census = _census(classes.sizes, s=s, tprime=emb.sub_order.t)
 
     # rosettes: ambient lines meeting the subgeometry in exactly one point
-    s = emb.sub_order.s
     rosette_base_of_key = {}
     rosette_witness_of_key = {}
     line_rosette_key = {}  # ambient line -> member tuple
@@ -220,7 +182,7 @@ def build_derived_pair(emb: SubGeometryEmbedding) -> DerivedPair:
         if len(inside) != 1:
             continue
         z_sub = emb.point_fwd[inside[0]]
-        members = tuple(sorted({int(inverse[ext_index[p]]) for p in line if p not in pset}))
+        members = tuple(sorted({int(class_of[ext_index[p]]) for p in line if p not in pset}))
         if len(members) != s:
             raise ConsistencyViolation(
                 f"rosette from line {li} has {len(members)} distinct ovoids, expected {s}"
@@ -249,7 +211,7 @@ def build_derived_pair(emb: SubGeometryEmbedding) -> DerivedPair:
     pi = None
     certificate = None
     if is_hyp:
-        point_map = [int(inverse[i]) for i in range(len(ext))]
+        point_map = class_of.tolist()
         line_map = []
         for ai in range(A.line_count):
             li = ambient_of_a_line[ai]
@@ -325,8 +287,6 @@ def check_ovoid_intersections(emb: SubGeometryEmbedding, x, xp) -> IntersectionR
     t = s t', (theta-1) t = s^2 with a uniform census: size t/s + 1 when the
     second point sees none of the first ovoid's common perp, size 1 when it
     sees some of it."""
-    from .incidence import gq_order
-
     s, t = gq_order(emb.ambient)
     if emb.sub_order is None:
         raise HypothesisError("subgeometry is not a quadrangle")
@@ -367,8 +327,6 @@ class ContactReport:
 def check_outside_contacts(emb: SubGeometryEmbedding) -> ContactReport:
     """For theta = s+1, t' = 1: every point outside (ovoid union subtenders)
     is collinear with exactly two of its points; exhaustive scan."""
-    from .incidence import gq_order
-
     s, _t = gq_order(emb.ambient)
     if emb.sub_order is None or emb.sub_order.t != 1:
         raise HypothesisError("hypothesis t' = 1 fails")
@@ -377,21 +335,14 @@ def check_outside_contacts(emb: SubGeometryEmbedding) -> ContactReport:
         raise HypothesisError(f"hypothesis theta = s+1 fails (census {census.counts})")
 
     amb = emb.ambient
-    mat = _ovoid_matrix(emb)
-    uniq, inverse = np.unique(mat, axis=0, return_inverse=True)
-    coll = amb.collinearity
+    classes = emb.ovoid_classes
+    sub = np.array(emb.point_subset, dtype=np.int64)
     violations = []
     checked_points = 0
-    for k, row in enumerate(uniq):
-        ambient_ovoid = [emb.point_subset[i] for i in np.nonzero(row)[0]]
-        subs = [emb.external_points[i] for i in np.nonzero(inverse == k)[0]]
-        members = np.array(ambient_ovoid + subs, dtype=np.int64)
-        member_mask = np.zeros(amb.point_count, dtype=bool)
-        member_mask[members] = True
-        counts = coll[:, members].sum(axis=1)
-        outside = ~member_mask
-        checked_points += int(outside.sum())
-        bad = np.nonzero(outside & (counts != 2))[0]
-        for z in bad:
-            violations.append((int(z), k, int(counts[z])))
-    return ContactReport(len(uniq), checked_points, not violations, tuple(violations))
+    for k, (r, subs) in enumerate(zip(classes.representatives, classes.subtenders())):
+        members = np.concatenate([sub[classes.rows[r]], subs])
+        counts = amb.collinearity[:, members].sum(axis=1)
+        counts[members] = 2  # only the points outside the members are checked
+        checked_points += amb.point_count - len(members)
+        violations += [(int(z), k, int(counts[z])) for z in np.flatnonzero(counts != 2)]
+    return ContactReport(len(classes.sizes), checked_points, not violations, tuple(violations))

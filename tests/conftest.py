@@ -62,6 +62,12 @@ def kk3():
 
 
 @pytest.fixture(scope="session")
+def q53_records():
+    g = build_Q5(3)
+    return g, enumerate_subgqs_through_line(g, 0)
+
+
+@pytest.fixture(scope="session")
 def kk9_records():
     """KK(9) and its 810 subquadrangles through the infinity line: the q=9
     enumeration takes minutes, so the tests that need it share one run."""

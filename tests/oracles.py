@@ -30,16 +30,22 @@ def brute_cl(g, u, v):
     return {w for w in range(g.point_count) if brute_perp(g, w) & biperp}
 
 
-def brute_census(g, point_subset):
-    """Multiset of subtender counts: loop over external points, collect the
-    traced point sets with a plain dict, no vectorization."""
+def brute_ovoid_classes(g, point_subset):
+    """The external points grouped by their traced point sets with a plain
+    dict: trace -> the external points tracing it, ascending."""
     pset = set(point_subset)
-    traces = {}
+    classes = {}
     for x in range(g.point_count):
         if x in pset:
             continue
         trace = frozenset(y for y in point_subset if brute_collinear(g, x, y))
-        traces[trace] = traces.get(trace, 0) + 1
+        classes.setdefault(trace, []).append(x)
+    return classes
+
+
+def brute_census(g, point_subset):
+    """Multiset of subtender counts, and the count of every traced set."""
+    traces = {t: len(xs) for t, xs in brute_ovoid_classes(g, point_subset).items()}
     census = {}
     for count in traces.values():
         census[count] = census.get(count, 0) + 1

@@ -23,14 +23,14 @@ from gqcovers.autgroup import (
     extend_automorphism,
     higher_decomposition_check,
 )
+from gqcovers import constructions
 from gqcovers.constructions import (
+    THETA_TABLE,
     QClanSpec,
     build_grid,
-    build_H4_with_H3,
     build_kantor_knuth,
     build_Q4_with_Q3,
     build_Q5_with_Q3,
-    build_Q5_with_Q4,
     build_W,
 )
 from gqcovers.covers import (
@@ -84,22 +84,12 @@ def test_criterion_01_constructions(q5q4_2, q5q4_3, h4h3):
 
 
 def test_criterion_02_theta_census():
-    table = [
-        (build_Q5_with_Q4, 2, 2),
-        (build_Q5_with_Q4, 3, 2),
-        (build_Q5_with_Q3, 2, 3),
-        (build_Q5_with_Q3, 3, 4),
-        (build_Q4_with_Q3, 3, 2),
-        (build_Q4_with_Q3, 2, 1),
-        (build_Q4_with_Q3, 4, 1),
-        (build_H4_with_H3, 2, 3),
-    ]
     bad = []
-    for builder, q, theta in table:
-        _amb, emb = builder(q)
+    for (name, q), theta in THETA_TABLE.items():
+        _amb, emb = getattr(constructions, name)(q)
         census = theta_census(emb)
         if not (census.uniform and census.theta == theta):
-            bad.append((builder.__name__, q, census.counts))
+            bad.append((name, q, census.counts))
     assert report(2, not bad, "eight uniform censuses" if not bad else str(bad))
 
 

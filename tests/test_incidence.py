@@ -1,9 +1,12 @@
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gqcovers import constructions
+from gqcovers.constructions import THETA_TABLE
 from gqcovers.errors import ConsistencyViolation, EmptyGeometryError
 from gqcovers.incidence import (
     AxiomFailure,
@@ -13,10 +16,17 @@ from gqcovers.incidence import (
     has_triangle,
     induced_subgeometry,
     is_connected,
+    ovoid_classes,
     verify_gq_axioms,
 )
 
-from .oracles import brute_cl, brute_perp, brute_perp_set
+from .oracles import (
+    brute_cl,
+    brute_collinear,
+    brute_ovoid_classes,
+    brute_perp,
+    brute_perp_set,
+)
 
 FANO = [[0, 1, 2], [2, 3, 4], [4, 5, 0], [1, 3, 5], [0, 6, 3], [2, 6, 5], [1, 6, 4]]
 
@@ -208,3 +218,52 @@ def test_json_roundtrip(q4_2, tmp_path):
     assert loaded.field == q4_2.field
     data = json.loads(path.read_text())
     assert set(data) >= {"name", "points", "lines"}
+
+
+@pytest.mark.parametrize("lines", [128, 256])
+def test_collinearity_of_points_on_many_common_lines(lines):
+    """Common-line counts must not wrap: 128 lines read -128 and 256 lines
+    read 0 in an 8-bit signed product."""
+    g = IncidenceStructure(lines + 2, [(0, 1, j) for j in range(2, lines + 2)])
+    for x, y in [(0, 1), (0, 2), (2, 3), (1, 5)]:
+        assert g.collinearity[x, y] == brute_collinear(g, x, y)
+
+
+def test_contact_counts_on_a_long_line():
+    """A point on a 130-point line sees all 130 of its points."""
+    g = IncidenceStructure(131, [tuple(range(130)), (129, 130)])
+    counts = g.point_line_collinearity_counts()
+    for x in (0, 129, 130):
+        for li, line in enumerate(g.lines):
+            assert counts[x, li] == sum(brute_collinear(g, x, y) for y in line)
+
+
+def _classes_by_trace(point_subset, classes):
+    """The kernel's classes in the oracle's form: trace -> external points."""
+    sub = np.array(point_subset)
+    assert (classes.rows == classes.rows[classes.representatives][classes.class_of]).all()
+    out = {}
+    for k, r in enumerate(classes.representatives):
+        members = classes.external[classes.class_of == k].tolist()
+        assert len(members) == classes.sizes[k] and classes.class_of[r] == k
+        out[frozenset(sub[classes.rows[r]].tolist())] = members
+    return out
+
+
+@pytest.mark.parametrize(
+    "builder,q,theta", [(name, q, theta) for (name, q), theta in THETA_TABLE.items()]
+)
+def test_ovoid_classes_against_oracle(builder, q, theta):
+    amb, emb = getattr(constructions, builder)(q)
+    classes = emb.ovoid_classes
+    assert _classes_by_trace(emb.point_subset, classes) == brute_ovoid_classes(
+        amb, emb.point_subset
+    )
+    assert set(classes.sizes.tolist()) == {theta}
+
+
+def test_ovoid_classes_of_a_record_against_oracle(q53_records):
+    g, recs = q53_records
+    points = recs[0].points
+    classes = ovoid_classes(g, points)
+    assert _classes_by_trace(points, classes) == brute_ovoid_classes(g, points)

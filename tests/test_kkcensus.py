@@ -39,12 +39,6 @@ def test_closure_budget(q5q4_2):
         span_closure(amb, seed_points=range(6), max_points=4)
 
 
-@pytest.fixture(scope="module")
-def q53_records():
-    g = build_Q5(3)
-    return g, enumerate_subgqs_through_line(g, 0)
-
-
 def test_q53_count_differs_from_kk(q53_records):
     _g, recs = q53_records
     assert len(recs) != 810

@@ -2,7 +2,7 @@ import pytest
 
 from gqcovers.constructions import build_Q5_with_Q3
 from gqcovers.errors import HypothesisError
-from gqcovers.incidence import IncidenceStructure
+from gqcovers.incidence import IncidenceStructure, verify_gq_axioms
 from gqcovers.spg import SPGParameters, expected_parameters, hypothesis_gate, verify_spg
 from gqcovers.subtension import theta_census
 
@@ -78,6 +78,11 @@ def test_failure_witnesses(q4_2):
     two_common = IncidenceStructure(6, [[0, 1, 2], [0, 1, 3], [2, 4, 5], [3, 4, 5]])
     rep2 = verify_spg(two_common)
     assert not rep2.ok and rep2.failure.axiom == "linearity"
+    # the witness is the first pair in row-major order: (0, 1) before (4, 5)
+    assert rep2.failure.witness == (0, 1)
+    res = verify_gq_axioms(two_common)
+    assert res.axiom == "c" and res.witness == (0, 1)
+    assert res.message == "points 0,1 share 2 lines"
 
     with pytest.raises(HypothesisError):
         verify_spg(IncidenceStructure(0, []))

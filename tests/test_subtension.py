@@ -1,10 +1,13 @@
+import runpy
+from pathlib import Path
+
 import pytest
 
+from gqcovers import constructions
 from gqcovers.constructions import (
-    build_H4_with_H3,
+    THETA_TABLE,
     build_Q4_with_Q3,
     build_Q5_with_Q3,
-    build_Q5_with_Q4,
 )
 from gqcovers.errors import HypothesisError
 from gqcovers.subtension import (
@@ -43,26 +46,23 @@ def test_hermitian_three_subtenders(h4h3):
     assert len(ov.subtenders) == 3
 
 
-CENSUS_TABLE = [
-    (build_Q5_with_Q4, 2, 2),
-    (build_Q5_with_Q4, 3, 2),
-    (build_Q5_with_Q3, 2, 3),
-    (build_Q5_with_Q3, 3, 4),
-    (build_Q4_with_Q3, 2, 1),
-    (build_Q4_with_Q3, 3, 2),
-    (build_Q4_with_Q3, 4, 1),
-    (build_H4_with_H3, 2, 3),
-]
+THETA_CASES = [(name, q, theta) for (name, q), theta in THETA_TABLE.items()]
 
 
-@pytest.mark.parametrize("builder,q,theta", CENSUS_TABLE)
+@pytest.mark.parametrize("builder,q,theta", THETA_CASES)
 def test_theta_census_table(builder, q, theta):
-    amb, emb = builder(q)
+    amb, emb = getattr(constructions, builder)(q)
     census = theta_census(emb)
     assert census.uniform and census.theta == theta
     # oracle recount by definition
     oracle, _traces = brute_census(amb, emb.point_subset)
     assert oracle == census.counts
+
+
+def test_theta_table_matches_benchmark():
+    """The benchmark keeps its own copy of the table; the two must agree."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "expected.py"
+    assert THETA_TABLE == runpy.run_path(str(path))["THETA_TABLE"]
 
 
 def test_census_ovoid_count_q3(q5q4_3):
