@@ -2,10 +2,14 @@
 
 Points are dense integer indices 0..n-1.  Lines are stored as sorted tuples
 of point indices, in lexicographic order, with duplicate lines rejected at
-construction.  Collinearity is cached as a dense boolean matrix; the point
-by line incidence matrix is dense for small structures and scipy.sparse
-above ~5e7 cells (the 7300-point stretch geometry would need ~437MB dense).
-Line and contact counts use the smallest unsigned type that cannot wrap.
+construction.  The point by line incidence matrix is one scipy.sparse CSC
+matrix.  Collinearity is cached as a dense, C-contiguous boolean matrix; it
+is symmetric, so it is always gathered along rows.  One contact kernel,
+`point_line_collinearity_counts`, gives c[x, L] = |perp(x) meet L| block by
+block; axiom (b), the triangle scan, the SPG alpha and the KK completion
+test all read it.  Line and contact counts use the smallest unsigned type
+that cannot wrap.  A structure never changes after construction, so its
+axiom verdict is computed once and cached.
 `ovoid_classes` groups the points off a subset by their traces on it.
 """
 
@@ -14,6 +18,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain, combinations
 from typing import NamedTuple, Optional, Union
 
 import numpy as np
@@ -21,7 +26,8 @@ from scipy import sparse
 
 from .errors import ConsistencyViolation, EmptyGeometryError
 
-DENSE_CELL_LIMIT = 50_000_000
+# point x line cells per block of the contact kernel (8 MB as uint8)
+CONTACT_BLOCK_CELLS = 1 << 23
 
 
 class GQOrder(NamedTuple):
@@ -94,39 +100,36 @@ class IncidenceStructure:
 
     @cached_property
     def incidence(self):
-        """Point x line incidence matrix (bool); sparse CSC above the size cap."""
-        n, m = self.point_count, self.line_count
-        rows, cols = [], []
-        for li, line in enumerate(self.lines):
-            rows.extend(line)
-            cols.extend([li] * len(line))
-        mat = sparse.csc_matrix(
-            (np.ones(len(rows), dtype=np.int8), (rows, cols)), shape=(n, m)
+        """Point x line incidence matrix, scipy.sparse CSC with unit entries."""
+        indptr = np.cumsum([0] + [len(line) for line in self.lines])
+        indices = np.fromiter(chain.from_iterable(self.lines), dtype=np.int64, count=indptr[-1])
+        return sparse.csc_matrix(
+            (np.ones(len(indices), dtype=np.uint8), indices, indptr),
+            shape=(self.point_count, self.line_count),
         )
-        if n * m <= DENSE_CELL_LIMIT:
-            return np.asarray(mat.todense(), dtype=bool)
-        return mat
-
-    @cached_property
-    def _incidence_sparse(self):
-        inc = self.incidence
-        if sparse.issparse(inc):
-            return inc
-        return sparse.csc_matrix(inc.astype(np.int8))
 
     def _common_lines(self):
         """Sparse symmetric count of the lines through both of two points, in
         the smallest unsigned type that holds the largest point degree."""
-        inc = self._incidence_sparse
+        inc = self.incidence
         inc = inc.astype(np.min_scalar_type(np.bincount(inc.indices).max(initial=0)))
         return inc @ inc.T
 
     @cached_property
     def collinearity(self):
-        """Dense boolean matrix; entry (x,y) true iff x,y share a line or x == y."""
-        coll = self._common_lines().toarray() > 0
+        """Dense C-contiguous boolean matrix; entry (x,y) true iff x,y share a
+        line or x == y."""
+        # symmetric: the transpose is the same matrix in CSR form, whose dense
+        # form is C-ordered
+        common = self._common_lines().T
+        common.data = common.data > 0
+        coll = common.toarray()
         np.fill_diagonal(coll, True)
         return coll
+
+    @cached_property
+    def _axiom_verdict(self):
+        return _check_gq_axioms(self)
 
     @cached_property
     def uniform_line_size(self):
@@ -171,27 +174,38 @@ class IncidenceStructure:
         hull = sorted(self.biperp({u, v}))
         if not hull:
             return set()
-        mask = self.collinearity[:, hull].any(axis=1)
+        mask = self.collinearity[hull].any(axis=0)
         return set(np.nonzero(mask)[0].tolist())
 
     def _check_point(self, x):
         if not (isinstance(x, (int, np.integer)) and 0 <= x < self.point_count):
             raise ValueError(f"invalid point index {x!r}")
 
-    # -- incidence-count scan -----------------------------------------------
+    # -- contact kernel ---------------------------------------------------------
 
     def point_line_collinearity_counts(self, line_block=None):
         """Matrix c[x, L] = |perp(x) meet L| for lines in the block (all by default).
 
-        This is the workhorse behind the projection axiom check and the
-        triangle scan; done blockwise through the sparse incidence matrix so
-        the stretch-size geometry stays within memory.
+        The one contact kernel: the sparse product of the block's incidence
+        columns with the collinearity rows.  Callers scan the lines in blocks
+        (`_contact_blocks`) so the stretch-size geometry stays within memory.
         """
-        dtype = np.min_scalar_type(max(map(len, self.lines), default=0))
         if line_block is None:
             line_block = np.arange(self.line_count)
-        sub = self._incidence_sparse[:, line_block].astype(dtype)
-        return np.asarray((sub.T @ self.collinearity.astype(dtype)).T)
+        return _contacts(self.incidence[:, line_block], self.collinearity).T
+
+    def _contact_blocks(self, on_line):
+        """Yield (lines, counts) over consecutive line blocks of at most
+        CONTACT_BLOCK_CELLS cells: counts[i, x] is the contact count of point x
+        with the i-th line, with the cells of the points on that line set to
+        on_line."""
+        step = max(1, CONTACT_BLOCK_CELLS // max(self.point_count, 1))
+        for start in range(0, self.line_count, step):
+            lines = np.arange(start, min(start + step, self.line_count))
+            counts = self.point_line_collinearity_counts(lines).T
+            block = self.incidence[:, lines]
+            counts[np.repeat(np.arange(len(lines)), np.diff(block.indptr)), block.indices] = on_line
+            yield lines, counts
 
     # -- global predicates ----------------------------------------------------
 
@@ -219,31 +233,19 @@ class IncidenceStructure:
     def has_triangle(self):
         """Witness of three pairwise-collinear points on three distinct lines
         sharing no common line, or None."""
-        block = 4096
-        for start in range(0, self.line_count, block):
-            idx = np.arange(start, min(start + block, self.line_count))
-            counts = self.point_line_collinearity_counts(idx)
-            for off, li in enumerate(idx):
+        for lines, counts in self._contact_blocks(on_line=0):
+            for i, z in zip(*np.nonzero(counts >= 2)):
+                li = int(lines[i])
                 line = self.lines[li]
-                col = counts[:, off]
-                on_line = np.zeros(self.point_count, dtype=bool)
-                on_line[list(line)] = True
-                bad = np.nonzero((col >= 2) & ~on_line)[0]
-                for z in bad:
-                    nbrs = [y for y in line if self.collinearity[z, y]]
-                    for a in nbrs:
-                        for b in nbrs:
-                            if a >= b:
-                                continue
-                            la = self._joining_lines(z, a)
-                            lb = self._joining_lines(z, b)
-                            for m1 in la:
-                                for m2 in lb:
-                                    if m1 != m2 and m1 != li and m2 != li:
-                                        return TriangleWitness(
-                                            points=(int(z), int(a), int(b)),
-                                            lines=(int(m1), int(m2), int(li)),
-                                        )
+                nbrs = [y for y in line if self.collinearity[z, y]]
+                for a, b in combinations(nbrs, 2):
+                    for m1 in self._joining_lines(z, a):
+                        for m2 in self._joining_lines(z, b):
+                            if m1 != m2 and m1 != li and m2 != li:
+                                return TriangleWitness(
+                                    points=(int(z), int(a), int(b)),
+                                    lines=(int(m1), int(m2), li),
+                                )
         return None
 
     def _joining_lines(self, x, y):
@@ -310,7 +312,13 @@ def verify_gq_axioms(g: IncidenceStructure) -> Union[GQOrder, AxiomFailure]:
     (b) for every non-incident point-line pair there is exactly one
         collinear point on the line;
     (c) two distinct points share at most one line.
+
+    The verdict is computed once per structure and cached on it.
     """
+    return g._axiom_verdict
+
+
+def _check_gq_axioms(g: IncidenceStructure) -> Union[GQOrder, AxiomFailure]:
     if g.point_count == 0 and g.line_count == 0:
         raise EmptyGeometryError("empty structure")
     if g.line_count == 0:
@@ -327,9 +335,7 @@ def verify_gq_axioms(g: IncidenceStructure) -> Union[GQOrder, AxiomFailure]:
     size = sizes.pop()
     if size < 2:
         return AxiomFailure("a", (0,), f"lines have {size} < 2 points")
-    degrees = np.zeros(g.point_count, dtype=np.int64)
-    for line in g.lines:
-        degrees[list(line)] += 1
+    degrees = np.bincount(g.incidence.indices, minlength=g.point_count)
     if degrees.min() != degrees.max():
         worst = int(degrees.argmin())
         return AxiomFailure(
@@ -345,24 +351,24 @@ def verify_gq_axioms(g: IncidenceStructure) -> Union[GQOrder, AxiomFailure]:
         x, y, count = shared
         return AxiomFailure("c", (x, y), f"points {x},{y} share {count} lines")
 
-    block = 4096
-    for start in range(0, g.line_count, block):
-        idx = np.arange(start, min(start + block, g.line_count))
-        counts = g.point_line_collinearity_counts(idx)
-        for offcol, li in enumerate(idx):
-            col = counts[:, offcol]
-            on_line = np.zeros(g.point_count, dtype=bool)
-            on_line[list(g.lines[li])] = True
-            outside = col[~on_line]
-            if outside.size and (outside.min() < 1 or outside.max() > 1):
-                pts = np.nonzero(~on_line)[0]
-                bad = pts[int(outside.argmin() if outside.min() < 1 else outside.argmax())]
-                return AxiomFailure(
-                    "b",
-                    (int(bad), int(li)),
-                    f"point {int(bad)} sees {int(col[bad])} points of line {int(li)}",
-                )
+    # a point on the line reads as one contact, so every cell must be 1
+    for lines, counts in g._contact_blocks(on_line=1):
+        bad = np.flatnonzero((counts != 1).any(axis=1))
+        if bad.size:
+            li, col = int(lines[bad[0]]), counts[bad[0]]
+            x = int(col.argmin() if col.min() < 1 else col.argmax())
+            return AxiomFailure("b", (x, li), f"point {x} sees {int(col[x])} points of line {li}")
     return GQOrder(s, t)
+
+
+def _contacts(members, rows):
+    """members.T @ rows for a sparse 0/1 matrix and a boolean matrix with as
+    many rows: how many of each member set's points each column sees.
+    Counted in the smallest unsigned type that holds the largest member set;
+    a C-ordered boolean matrix is read as uint8 without a copy."""
+    dtype = np.min_scalar_type(np.diff(members.indptr).max(initial=0))
+    dense = rows.view(np.uint8) if dtype == np.uint8 else rows.astype(dtype)
+    return members.T.astype(dtype) @ dense
 
 
 def _repeated_line_pair(g: IncidenceStructure):
@@ -411,7 +417,7 @@ def ovoid_classes(g: IncidenceStructure, point_subset) -> OvoidClasses:
     compared as packed bits, whose byte order sorts as the bool rows do."""
     sub = np.asarray(point_subset, dtype=np.int64)
     external = np.setdiff1d(np.arange(g.point_count), sub)
-    rows = g.collinearity[np.ix_(external, sub)]
+    rows = g.collinearity[sub][:, external].T
     _packed, first, class_of, sizes = np.unique(
         np.packbits(rows, axis=1), axis=0,
         return_index=True, return_inverse=True, return_counts=True,
@@ -421,17 +427,13 @@ def ovoid_classes(g: IncidenceStructure, point_subset) -> OvoidClasses:
 
 def _validate_ovoid_rows(emb, rows):
     """Every trace row must meet every substructure line exactly once."""
-    inc = emb.substructure.incidence
-    if not isinstance(inc, np.ndarray):
-        inc = np.asarray(inc.todense(), dtype=bool)
-    if inc.size:
-        counts = rows.astype(np.int16) @ inc.astype(np.int16)
-        if counts.size and (counts.min() < 1 or counts.max() > 1):
-            bad = np.argwhere((counts < 1) | (counts > 1))[0]
-            raise ConsistencyViolation(
-                f"external point {emb.external_points[bad[0]]} traces a non-ovoid: "
-                f"line {bad[1]} met {counts[bad[0], bad[1]]} times"
-            )
+    counts = _contacts(emb.substructure.incidence, rows.T).T
+    if counts.size and (counts.min() < 1 or counts.max() > 1):
+        bad = np.argwhere((counts < 1) | (counts > 1))[0]
+        raise ConsistencyViolation(
+            f"external point {emb.external_points[bad[0]]} traces a non-ovoid: "
+            f"line {bad[1]} met {counts[bad[0], bad[1]]} times"
+        )
 
 
 # -- subgeometries ----------------------------------------------------------------

@@ -127,7 +127,6 @@ def enumerate_subgqs_through_line(
     target_pts = (s + 1) * (s * s + 1)
     line_pts = g.line_points_array
     point_lns = _point_lines_array(g)
-    coll = g.collinearity
 
     linf = g.lines[infinity_line]
     p1, p2 = linf[0], linf[1]
@@ -190,7 +189,7 @@ def enumerate_subgqs_through_line(
             elif pts is not None:
                 grid_pts = np.nonzero(pts)[0]
                 grid_lns = np.nonzero(lns)[0]
-                candidates = _completion_candidates(coll, pts, grid_lns, line_pts)
+                candidates = _completion_candidates(g, pts, grid_lns)
                 bad = set()
                 while True:
                     covered = _superset_union(found_masks, pts)
@@ -233,15 +232,10 @@ def enumerate_subgqs_through_line(
     return records
 
 
-def _completion_candidates(coll, grid_mask, grid_lines, line_pts):
+def _completion_candidates(g, grid_mask, grid_lines):
     """Points off the grid whose perp meets every grid line exactly once."""
-    n = coll.shape[0]
-    ok = np.ones(n, dtype=bool)
-    for li in grid_lines:
-        contacts = coll[:, line_pts[li]].sum(axis=1)
-        ok &= contacts == 1
-    ok &= ~grid_mask
-    return np.nonzero(ok)[0]
+    counts = g.point_line_collinearity_counts(grid_lines)
+    return np.flatnonzero((counts == 1).all(axis=1) & ~grid_mask)
 
 
 def _superset_union(found_masks, pts):

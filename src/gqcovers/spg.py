@@ -63,9 +63,7 @@ def verify_spg(E, expected: Optional[SPGParameters] = None) -> SPGReport:
         return SPGReport(None, SPGFailure("line_size", (), f"line sizes {sorted(sizes)}"), False, False)
     s_star = sizes.pop() - 1
 
-    degrees = np.zeros(E.point_count, dtype=np.int64)
-    for line in E.lines:
-        degrees[list(line)] += 1
+    degrees = np.bincount(E.incidence.indices, minlength=E.point_count)
     if degrees.min() != degrees.max():
         p = int(degrees.argmin())
         return SPGReport(
@@ -82,21 +80,20 @@ def verify_spg(E, expected: Optional[SPGParameters] = None) -> SPGReport:
             False, False,
         )
 
-    coll = E.collinearity
+    # the positive contact counts off the line; the witness is the first
+    # (x, L) in line-then-point order that differs from the first one
     alpha_values = set()
-    alpha_witness = None
-    for li, line in enumerate(E.lines):
-        pts = list(line)
-        counts = coll[:, pts].sum(axis=1)
-        on_line = np.zeros(E.point_count, dtype=bool)
-        on_line[pts] = True
-        outside = np.nonzero(~on_line)[0]
-        for x in outside:
-            c = int(counts[x])
-            if c:
-                alpha_values.add(c)
-                if len(alpha_values) > 1 and alpha_witness is None:
-                    alpha_witness = (int(x), li)
+    first = alpha_witness = None
+    for lines, counts in E._contact_blocks(on_line=0):
+        alpha_values.update(np.unique(counts).tolist())
+        if first is None and counts.any():
+            first = counts.flat[np.flatnonzero(counts)[0]]
+        if alpha_witness is None and first is not None:
+            other = np.flatnonzero((counts != 0) & (counts != first))
+            if other.size:
+                i, x = divmod(int(other[0]), E.point_count)
+                alpha_witness = (x, int(lines[i]))
+    alpha_values.discard(0)
     if len(alpha_values) > 1:
         return SPGReport(
             None,
@@ -114,6 +111,7 @@ def verify_spg(E, expected: Optional[SPGParameters] = None) -> SPGReport:
     else:
         alpha_star = alpha_values.pop()
 
+    coll = E.collinearity
     strict = coll.copy()
     np.fill_diagonal(strict, False)
     noncoll = ~coll

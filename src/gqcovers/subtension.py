@@ -341,7 +341,7 @@ def check_outside_contacts(emb: SubGeometryEmbedding) -> ContactReport:
     checked_points = 0
     for k, (r, subs) in enumerate(zip(classes.representatives, classes.subtenders())):
         members = np.concatenate([sub[classes.rows[r]], subs])
-        counts = amb.collinearity[:, members].sum(axis=1)
+        counts = amb.collinearity[members].sum(axis=0)
         counts[members] = 2  # only the points outside the members are checked
         checked_points += amb.point_count - len(members)
         violations += [(int(z), k, int(counts[z])) for z in np.flatnonzero(counts != 2)]

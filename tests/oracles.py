@@ -14,6 +14,13 @@ def brute_collinear(g, x, y):
     return any(x in line and y in line for line in g.lines)
 
 
+def brute_contacts(g):
+    """c[x][L]: how many points of line L are collinear with x (x counts
+    itself when it lies on L)."""
+    return [[sum(brute_collinear(g, x, y) for y in line) for line in g.lines]
+            for x in range(g.point_count)]
+
+
 def brute_perp(g, x):
     return {y for y in range(g.point_count) if brute_collinear(g, x, y)}
 

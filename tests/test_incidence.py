@@ -19,16 +19,19 @@ from gqcovers.incidence import (
     ovoid_classes,
     verify_gq_axioms,
 )
+from gqcovers.spg import verify_spg
 
 from .oracles import (
     brute_cl,
     brute_collinear,
+    brute_contacts,
     brute_ovoid_classes,
     brute_perp,
     brute_perp_set,
 )
 
 FANO = [[0, 1, 2], [2, 3, 4], [4, 5, 0], [1, 3, 5], [0, 6, 3], [2, 6, 5], [1, 6, 4]]
+PRISM = [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (0, 3), (1, 4), (2, 5)]
 
 
 def test_construction_canonicalizes():
@@ -236,6 +239,66 @@ def test_contact_counts_on_a_long_line():
     for x in (0, 129, 130):
         for li, line in enumerate(g.lines):
             assert counts[x, li] == sum(brute_collinear(g, x, y) for y in line)
+
+
+@pytest.mark.parametrize("name", ["fano", "grid2", "q4_2", "two_common", "long_line"])
+def test_contact_kernel_against_oracle(name, request):
+    g = {
+        "fano": lambda: IncidenceStructure(7, FANO),
+        "grid2": lambda: request.getfixturevalue("grid2"),
+        "q4_2": lambda: request.getfixturevalue("q4_2"),
+        "two_common": lambda: IncidenceStructure(
+            6, [[0, 1, 2], [0, 1, 3], [2, 4, 5], [3, 4, 5]]
+        ),
+        "long_line": lambda: IncidenceStructure(131, [tuple(range(130)), (129, 130)]),
+    }[name]()
+    assert g.point_line_collinearity_counts().tolist() == brute_contacts(g)
+
+
+def test_collinearity_is_c_contiguous(q4_2):
+    """The contact kernel reads collinearity rows as uint8 without a copy."""
+    assert q4_2.collinearity.flags.c_contiguous
+
+
+def test_fano_witnesses():
+    fano = IncidenceStructure(7, FANO)
+    assert verify_gq_axioms(fano) == AxiomFailure("b", (3, 0), "point 3 sees 3 points of line 0")
+    tri = has_triangle(fano)
+    assert (tri.points, tri.lines) == ((3, 0, 1), (1, 3, 0))
+
+
+def test_prism_witnesses():
+    prism = IncidenceStructure(6, PRISM)
+    rep = verify_spg(prism)
+    assert (rep.failure.axiom, rep.failure.witness, rep.failure.message) == (
+        "alpha", (3, 0), "contact counts [1, 2]"
+    )
+    assert verify_gq_axioms(prism) == AxiomFailure("b", (5, 0), "point 5 sees 0 points of line 0")
+    tri = has_triangle(prism)
+    assert (tri.points, tri.lines) == ((2, 0, 1), (1, 3, 0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=3, max_value=8).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        st.sets(st.frozensets(st.integers(0, n - 1), min_size=2, max_size=3),
+                min_size=1, max_size=10),
+    )
+))
+def test_triangles_fail_the_axioms(structure):
+    """A triangle breaks (b) or (c) by definition, so no structure with one
+    passes the axiom check."""
+    n, lines = structure
+    g = IncidenceStructure(n, [sorted(line) for line in lines])
+    if has_triangle(g) is None:
+        return
+    assert isinstance(verify_gq_axioms(g), AxiomFailure)
+    contacts = brute_contacts(g)
+    sees_two = any(contacts[x][li] >= 2 for li, line in enumerate(g.lines)
+                   for x in range(n) if x not in line)
+    two_common = any(len(set(a) & set(b)) >= 2 for a in g.lines for b in g.lines if a < b)
+    assert sees_two or two_common
 
 
 def _classes_by_trace(point_subset, classes):

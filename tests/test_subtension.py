@@ -8,8 +8,10 @@ from gqcovers.constructions import (
     THETA_TABLE,
     build_Q4_with_Q3,
     build_Q5_with_Q3,
+    build_Q5_with_Q4,
 )
 from gqcovers.errors import HypothesisError
+from gqcovers.incidence import IncidenceStructure
 from gqcovers.subtension import (
     build_derived_pair,
     check_outside_contacts,
@@ -191,6 +193,29 @@ def test_ovoid_intersection_dichotomy_q3(q5q4_3):
         assert rep.ok
         seen[rep.intersection_size] = seen.get(rep.intersection_size, 0) + 1
     assert seen.get(4, 0) > 0 and seen.get(1, 0) > 0
+
+
+def test_axiom_check_runs_once(monkeypatch):
+    """The axiom verdict is cached on the structure: repeated intersection
+    checks run the contact kernel no further."""
+    calls = []
+    kernel = IncidenceStructure.point_line_collinearity_counts
+
+    def counting(self, *args, **kwargs):
+        calls.append(self)
+        return kernel(self, *args, **kwargs)
+
+    monkeypatch.setattr(IncidenceStructure, "point_line_collinearity_counts", counting)
+    _amb, emb = build_Q5_with_Q4(2)
+    x = emb.external_points[0]
+    ov = subtended_ovoid(emb, x)
+    common_perp = emb.ambient.perp_set([emb.point_subset[i] for i in sorted(ov.points)])
+    xp = next(y for y in emb.external_points if y != x and y not in common_perp)
+    check_ovoid_intersections(emb, x, xp)
+    after_first = len(calls)
+    check_ovoid_intersections(emb, x, xp)
+    check_ovoid_intersections(emb, x, xp)
+    assert len(calls) == after_first
 
 
 def test_ovoid_intersection_hypotheses_checked():
