@@ -414,15 +414,25 @@ class OvoidClasses(NamedTuple):
 
 def ovoid_classes(g: IncidenceStructure, point_subset) -> OvoidClasses:
     """Group the points off point_subset by their trace on it.  Rows are
-    compared as packed bits, whose byte order sorts as the bool rows do."""
+    packed to bits and stably sorted as raw bytes, whose order is the order
+    of the bool rows; a class starts wherever the sorted rows change."""
     sub = np.asarray(point_subset, dtype=np.int64)
-    external = np.setdiff1d(np.arange(g.point_count), sub)
+    off = np.ones(g.point_count, dtype=bool)
+    off[sub] = False
+    external = np.flatnonzero(off)
     rows = g.collinearity[sub][:, external].T
-    _packed, first, class_of, sizes = np.unique(
-        np.packbits(rows, axis=1), axis=0,
-        return_index=True, return_inverse=True, return_counts=True,
-    )
-    return OvoidClasses(external, rows, class_of, sizes, first)
+    packed = np.packbits(rows, axis=1)
+    keys = np.zeros((len(external), max(packed.shape[1], 1)), dtype=np.uint8)
+    keys[:, :packed.shape[1]] = packed
+    order = np.argsort(keys.view(np.dtype((np.void, keys.shape[1]))).ravel(), kind="stable")
+    ranked = keys[order]
+    starts = np.ones(len(external), dtype=bool)
+    starts[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    class_of = np.empty(len(external), dtype=np.intp)
+    class_of[order] = np.cumsum(starts) - 1
+    starts = np.flatnonzero(starts)
+    sizes = np.diff(np.append(starts, len(external)))
+    return OvoidClasses(external, rows, class_of, sizes, order[starts])
 
 
 def _validate_ovoid_rows(emb, rows):

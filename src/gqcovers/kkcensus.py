@@ -3,17 +3,24 @@ Kantor-Knuth quadrangle: enumeration by span closure over line-pair seeds,
 subtension census per subquadrangle, and the orbit accounting.
 
 The enumeration walks every pair (L1, L2) of lines through the first two
-points of the distinguished line.  Each pair spans a grid; completing points
-are filtered by an ovoid-subtension test and closed; every proper closure of
-the right order is recorded.  Completeness is certified only by comparing the
-final count with the expected total.  The walk checkpoints after every pair
-and is resumable.
+points of the distinguished line.  Each pair spans a grid.  In a GQ a point
+off a line is collinear with exactly one of its points, so the q + 1
+subquadrangles through the grid partition the points off it.  A pair whose
+recorded subquadrangles already cover every point is therefore skipped: any
+closure from it would stay inside one of them.  Otherwise the untried
+uncovered completing points are closed in ascending order, and every proper
+closure of the right order is recorded.  The completing points are filtered
+by an ovoid-subtension test, which on a GQ passes every point off the grid;
+it stays because the walk never checks that its input is a GQ.
+Completeness is certified only by comparing the final count with the
+expected total.  The walk checkpoints after every pair and is resumable.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import time
 from dataclasses import dataclass
 from typing import Optional
 
@@ -54,30 +61,28 @@ class ClosureReport:
 
 def _closure_masks(g, seed_points, seed_lines, line_pts, point_lns, max_points=None):
     """Boolean masks of the smallest full line-closed subgeometry containing
-    the seeds, or None once it exceeds max_points."""
-    n, m = g.point_count, g.line_count
-    pts = np.zeros(n, dtype=bool)
-    lns = np.zeros(m, dtype=bool)
-    frontier = np.array(sorted(set(seed_points)), dtype=np.int64)
-    if len(seed_lines):
-        sl = np.array(sorted(set(seed_lines)), dtype=np.int64)
-        lns[sl] = True
-        frontier = np.unique(np.concatenate([frontier, line_pts[sl].ravel()]))
-    pts[frontier] = True
+    the seeds, or None once it exceeds max_points.  A running count of the
+    member points on every line finds the lines that gain a second point, and
+    a mark array over the points collects their new points."""
+    pts = np.zeros(g.point_count, dtype=bool)
+    lns = np.zeros(g.line_count, dtype=bool)
+    seed_lines = np.asarray(seed_lines, dtype=np.int64)
+    pts[np.asarray(seed_points, dtype=np.int64)] = True
+    pts[line_pts[seed_lines]] = True
+    lns[seed_lines] = True
+    on_line = np.zeros(g.line_count, dtype=np.int64)
+    frontier = np.flatnonzero(pts)
     while frontier.size:
         if max_points is not None and int(pts.sum()) > max_points:
             return None, None
-        cand = np.unique(point_lns[frontier].ravel())
-        cand = cand[~lns[cand]]
-        if cand.size == 0:
-            break
-        inside = pts[line_pts[cand]].sum(axis=1)
-        newly = cand[inside >= 2]
+        on_line += np.bincount(point_lns[frontier].ravel(), minlength=g.line_count)
+        newly = np.flatnonzero((on_line >= 2) & ~lns)
         if newly.size == 0:
             break
         lns[newly] = True
-        member = np.unique(line_pts[newly].ravel())
-        frontier = member[~pts[member]]
+        member = np.zeros(g.point_count, dtype=bool)
+        member[line_pts[newly]] = True
+        frontier = np.flatnonzero(member & ~pts)
         pts[frontier] = True
     return pts, lns
 
@@ -170,54 +175,55 @@ def enumerate_subgqs_through_line(
             return
         val = tuple(np.nonzero(clns)[0].tolist())
         found_points[key] = val
-        found_masks = _append_mask(found_masks, cpts)
+        found_masks = np.concatenate([found_masks, cpts[None, :]])
         if ck_handle:
             ck_handle.write(
                 json.dumps({"type": "subgq", "points": list(key), "lines": list(val)})
                 + "\n"
             )
 
+    def walk_pair(l1, l2):
+        seed = line_pts[[l1, l2]].ravel()
+        covered = _covering_union(found_masks, seed)
+        # Every closure from this pair stays inside a record holding both
+        # lines, so once those records cover every point the pair is spent.
+        if covered.all():
+            return
+        pts, lns = closure((), (l1, l2))
+        if _is_full_subgq(pts, lns, point_lns, s):
+            record(pts, lns)
+        if pts is None or int(pts.sum()) == target_pts:
+            return
+        grid_pts = np.flatnonzero(pts)
+        untried = None
+        while not (covered | pts).all():
+            if untried is None:
+                untried = np.zeros(g.point_count, dtype=bool)
+                untried[_completion_candidates(g, pts, np.flatnonzero(lns))] = True
+            open_pts = untried & ~covered
+            if not open_pts.any():
+                return
+            x = int(np.argmax(open_pts))
+            untried[x] = False
+            cpts, clns = closure(np.append(grid_pts, x), (l1, l2))
+            if _is_full_subgq(cpts, clns, point_lns, s):
+                record(cpts, clns)
+                covered = _covering_union(found_masks, seed)
+
+    todo = [k for k in range(lo, hi) if k not in done_pairs]
+    started = time.monotonic()
     try:
-        for k in range(lo, hi):
-            if k in done_pairs:
-                continue
-            l1, l2 = pairs[k]
-            pts, lns = closure((), (l1, l2))
-            if pts is not None and int(pts.sum()) == target_pts:
-                if _is_full_subgq(pts, lns, line_pts, point_lns, s):
-                    record(pts, lns)
-            elif pts is not None:
-                grid_pts = np.nonzero(pts)[0]
-                grid_lns = np.nonzero(lns)[0]
-                candidates = _completion_candidates(g, pts, grid_lns)
-                bad = set()
-                while True:
-                    covered = _superset_union(found_masks, pts)
-                    progressed = False
-                    for x in candidates:
-                        if covered[x] or x in bad:
-                            continue
-                        cpts, clns = closure(
-                            np.concatenate([grid_pts, [x]]), (l1, l2)
-                        )
-                        if (
-                            cpts is not None
-                            and int(cpts.sum()) == target_pts
-                            and _is_full_subgq(cpts, clns, line_pts, point_lns, s)
-                        ):
-                            record(cpts, clns)
-                            progressed = True
-                            break
-                        bad.add(int(x))
-                    if not progressed:
-                        break
+        for walked, k in enumerate(todo, 1):
+            walk_pair(*pairs[k])
             done_pairs.add(k)
             if ck_handle:
                 ck_handle.write(json.dumps({"type": "pair_done", "index": k}) + "\n")
                 ck_handle.flush()
-            if log and (k % 250 == 0 or k + 1 == hi):
+            if log and (k % 250 == 0 or walked == len(todo)):
+                rate = walked / max(time.monotonic() - started, 1e-9)
                 log(f"pair {k + 1}/{len(pairs)}: {len(found_points)} subGQs, "
-                    f"{closures} closures")
+                    f"{closures} closures, {rate:.1f} pairs/s, "
+                    f"ETA {(len(todo) - walked) / rate:.0f} s")
     finally:
         if ck_handle:
             ck_handle.close()
@@ -238,15 +244,12 @@ def _completion_candidates(g, grid_mask, grid_lines):
     return np.flatnonzero((counts == 1).all(axis=1) & ~grid_mask)
 
 
-def _superset_union(found_masks, pts):
-    """Union of the recorded subGQ point masks containing the given set."""
-    n = pts.shape[0]
-    if found_masks is None or not found_masks.shape[0]:
-        return np.zeros(n, dtype=bool)
-    contains = ~((~found_masks) & pts).any(axis=1)
-    if not contains.any():
-        return np.zeros(n, dtype=bool)
-    return found_masks[contains].any(axis=0)
+def _covering_union(found_masks, seed):
+    """Union of the recorded point masks holding every seed point.  Records
+    are closed, so one holds the grid of two lines exactly when it holds
+    their points."""
+    holding = found_masks[:, seed].all(axis=1)
+    return found_masks[holding].any(axis=0)
 
 
 def _stack_masks(n, found_points):
@@ -258,16 +261,14 @@ def _stack_masks(n, found_points):
     return out
 
 
-def _append_mask(found_masks, pts):
-    return np.concatenate([found_masks, pts[None, :]], axis=0)
-
-
-def _is_full_subgq(pts, lns, line_pts, point_lns, s):
-    """The closure is full and line-closed by construction; it is an (s, s)
-    subquadrangle precisely when every member point lies on exactly s+1
-    member lines (the remaining axioms are inherited from the ambient GQ)."""
-    members = np.nonzero(pts)[0]
-    deg = lns[point_lns[members]].sum(axis=1)
+def _is_full_subgq(pts, lns, point_lns, s):
+    """The closure (None past its budget) is full and line-closed by
+    construction; it is an (s, s) subquadrangle precisely when it has
+    (s+1)(s^2+1) points, each on exactly s+1 member lines (the remaining
+    axioms are inherited from the ambient GQ)."""
+    if pts is None or int(pts.sum()) != (s + 1) * (s * s + 1):
+        return False
+    deg = lns[point_lns[np.flatnonzero(pts)]].sum(axis=1)
     return bool((deg == s + 1).all())
 
 

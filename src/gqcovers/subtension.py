@@ -51,9 +51,9 @@ class CensusReport:
 def _census(sizes, *, s, tprime) -> CensusReport:
     """The census of a list of class sizes, with the bound (theta-1)*t' <= s
     asserted for every occurring theta."""
-    counts = {}
-    for theta in sizes.tolist():
-        counts[theta] = counts.get(theta, 0) + 1
+    thetas, first, per_theta = np.unique(sizes, return_index=True, return_counts=True)
+    order = np.argsort(first)  # thetas in order of first occurrence
+    counts = dict(zip(thetas[order].tolist(), per_theta[order].tolist()))
     for theta in counts:
         if (theta - 1) * tprime > s:
             raise ConsistencyViolation(

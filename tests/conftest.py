@@ -70,7 +70,8 @@ def q53_records():
 @pytest.fixture(scope="session")
 def kk9_records():
     """KK(9) and its 810 subquadrangles through the infinity line: the q=9
-    enumeration takes minutes, so the tests that need it share one run."""
+    build and enumeration take seconds, so the tests that need it share one
+    run."""
     res = build_kantor_knuth(QClanSpec(q=9, sigma_exp=1, m=3))
     recs = enumerate_subgqs_through_line(
         res.structure, res.infinity_line, expected_total=810

@@ -118,18 +118,18 @@ def brute_spg_parameters(g):
     return s_star, t_star, alpha, mu
 
 
+def brute_pencils(g):
+    """The lines through each point, ascending."""
+    return [[i for i, line in enumerate(g.lines) if x in line] for x in range(g.point_count)]
+
+
 def brute_covers(src, tgt):
     """Every point map src -> tgt whose derived line map is locally
     bijective: each line onto a target line of the same size, each pencil
     onto the pencil of the image point.  Returns the set of (point_map,
     line_map) pairs (tiny structures)."""
     line_of = {frozenset(line): i for i, line in enumerate(tgt.lines)}
-
-    def pencils(g):
-        return [sorted(i for i, line in enumerate(g.lines) if x in line)
-                for x in range(g.point_count)]
-
-    src_pencil, tgt_pencil = pencils(src), pencils(tgt)
+    src_pencil, tgt_pencil = brute_pencils(src), brute_pencils(tgt)
     out = set()
     for pm in itertools.product(range(tgt.point_count), repeat=src.point_count):
         images = [frozenset(pm[p] for p in line) for line in src.lines]
@@ -176,3 +176,50 @@ def brute_refines(fine, coarse):
             return False
         owners.append(where[cell[0]])
     return owners == sorted(owners)
+
+
+def brute_closure(g, seed_points=(), seed_lines=(), pencils=None):
+    """Smallest point/line set holding the seeds, every point of its lines
+    and every line through two of its points: a worklist fixpoint over
+    Python sets.  Returns (points, lines)."""
+    pencils = pencils or brute_pencils(g)
+    pts, lns = set(), set(seed_lines)
+    todo = list(seed_points) + [p for i in seed_lines for p in g.lines[i]]
+    while todo:
+        p = todo.pop()
+        if p in pts:
+            continue
+        pts.add(p)
+        for i in pencils[p]:
+            if i not in lns and sum(y in pts for y in g.lines[i]) >= 2:
+                lns.add(i)
+                todo.extend(g.lines[i])
+    return pts, lns
+
+
+def brute_subgqs_through_line(g, infinity_line):
+    """Every full order-(s, s) subquadrangle through the line, s + 1 its
+    size: for each pair of lines through its first two points, close the
+    pair alone and the pair with each point off its grid, and keep every
+    closure with (s+1)(s^2+1) points each on s + 1 of its lines.  Returns
+    {frozenset(points): frozenset(lines)}."""
+    linf = g.lines[infinity_line]
+    s = len(linf) - 1
+    pencils = brute_pencils(g)
+    through = [[i for i in pencils[p] if i != infinity_line] for p in linf[:2]]
+    found = {}
+    for l1 in through[0]:
+        for l2 in through[1]:
+            if set(g.lines[l1]) & set(g.lines[l2]):
+                continue
+            grid, _ = brute_closure(g, (), (l1, l2), pencils)
+            for x in [None] + [x for x in range(g.point_count) if x not in grid]:
+                pts, lns = brute_closure(g, () if x is None else (x,), (l1, l2), pencils)
+                degree = {}
+                for i in lns:
+                    for p in g.lines[i]:
+                        degree[p] = degree.get(p, 0) + 1
+                if len(pts) == (s + 1) * (s * s + 1) and all(
+                        degree.get(p) == s + 1 for p in pts):
+                    found[frozenset(pts)] = frozenset(lns)
+    return found

@@ -1,5 +1,7 @@
 import json
 import os
+import random
+import re
 
 import pytest
 
@@ -14,6 +16,8 @@ from gqcovers.kkcensus import (
     span_closure,
 )
 from gqcovers.subtension import theta_census
+
+from .oracles import brute_closure, brute_pencils, brute_subgqs_through_line
 
 
 def test_closure_of_single_line(q5q4_2):
@@ -37,6 +41,64 @@ def test_closure_budget(q5q4_2):
     # two points plus a full pencil forces growth beyond two points
     with pytest.raises(BudgetExceeded):
         span_closure(amb, seed_points=range(6), max_points=4)
+
+
+def test_closure_against_oracle(q5q4_2, kk3):
+    rng = random.Random(1505)
+    for g in (q5q4_2[0], kk3.structure):
+        pencils = brute_pencils(g)
+        for _ in range(60):
+            seed_points = rng.sample(range(g.point_count), rng.randint(0, 3))
+            seed_lines = rng.sample(range(g.line_count), rng.randint(not seed_points, 2))
+            rep = span_closure(g, seed_points, seed_lines)
+            pts, lns = brute_closure(g, seed_points, seed_lines, pencils)
+            assert (rep.point_count, rep.line_count) == (len(pts), len(lns))
+            assert rep.proper == (len(pts) < g.point_count)
+            if rep.proper:
+                assert set(rep.embedding.point_subset) == pts
+                assert set(rep.embedding.line_subset) == lns
+
+
+def test_walk_against_oracle(kk3, q53_records):
+    kk_recs = enumerate_subgqs_through_line(kk3.structure, kk3.infinity_line)
+    for g, line, recs in ((kk3.structure, kk3.infinity_line, kk_recs),
+                          (q53_records[0], 0, q53_records[1])):
+        found = {frozenset(r.points): frozenset(r.lines) for r in recs}
+        assert len(found) == len(recs)
+        assert found == brute_subgqs_through_line(g, line)
+
+
+def test_records_through_a_seed_pair_partition_the_rest(kk3):
+    """The identity the walk's covered-pair skip rests on: the q + 1 records
+    holding two seed lines contain their grid and partition the points off
+    it, so once they are found no closure from the pair can find another.
+    A walk that still closes every pair fails the closure count."""
+    g, inf, q = kk3.structure, kk3.infinity_line, 3
+    log = []
+    recs = enumerate_subgqs_through_line(g, inf, log=log.append)
+    p1, p2 = g.lines[inf][:2]
+    pairs = [(l1, l2) for l1 in g.point_lines[p1] for l2 in g.point_lines[p2]
+             if inf not in (l1, l2) and not set(g.lines[l1]) & set(g.lines[l2])]
+    assert len(pairs) == q**4
+    for l1, l2 in pairs:
+        grid = set(span_closure(g, seed_lines=(l1, l2)).embedding.point_subset)
+        holding = [set(r.points) for r in recs if {l1, l2} <= set(r.lines)]
+        assert len(grid) == (q + 1) ** 2 and len(holding) == q + 1
+        assert all(grid <= pts for pts in holding)
+        rest = set(range(g.point_count)) - grid
+        assert len(rest) == (q + 1) ** 2 * q * (q - 1)
+        assert sum(len(pts - grid) for pts in holding) == len(rest)
+        assert set().union(*holding) - grid == rest
+    closures = int(re.search(r"(\d+) closures", log[-1]).group(1))
+    assert closures < len(pairs) + len(recs)
+
+
+def test_progress_log_line_format(kk3):
+    log = []
+    enumerate_subgqs_through_line(kk3.structure, kk3.infinity_line, log=log.append)
+    line_format = r"pair (\d+)/81: (\d+) subGQs, \d+ closures, \d+\.\d pairs/s, ETA \d+ s"
+    assert len(log) == 2 and all(re.fullmatch(line_format, line) for line in log)
+    assert re.fullmatch(line_format, log[-1]).group(1, 2) == ("81", "36")
 
 
 def test_q53_count_differs_from_kk(q53_records):
