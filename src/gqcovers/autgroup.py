@@ -751,8 +751,7 @@ class HigherDecompositionReport:
     cover_lift: Optional[Permutation]
 
 
-def higher_decomposition_check(pair, ambient_group=None, cover=None,
-                               *, node_budget=2_000_000) -> HigherDecompositionReport:
+def higher_decomposition_check(pair, cover=None, *, node_budget=2_000_000) -> HigherDecompositionReport:
     """Whether every automorphism of the derived geometry is induced by an
     ambient automorphism; per generator the candidate subgeometry automorphism
     comes from the cover factorization and is lifted by the extension search.
@@ -770,8 +769,6 @@ def higher_decomposition_check(pair, ambient_group=None, cover=None,
         if lift is None:
             verdict = False
             break
-        if ambient_group is not None and not ambient_group.contains(lift.domain_perm()):
-            raise ConsistencyViolation("lift not contained in the supplied ambient group")
         lifted.append(lift)
 
     cover_lift = None

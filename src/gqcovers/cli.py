@@ -26,15 +26,12 @@ from .autgroup import (
     setwise_stabilizer,
 )
 from .constructions import (
+    SPG_TABLE,
     THETA_TABLE,
     QClanSpec,
     build_grid,
-    build_H4_with_H3,
     build_kantor_knuth,
-    build_Q4_with_Q3,
     build_Q5_with_Q3,
-    build_Q5_with_Q4,
-    build_W,
 )
 from .errors import BudgetExceeded
 from .incidence import (
@@ -44,7 +41,7 @@ from .incidence import (
     verify_gq_axioms,
 )
 from .kkcensus import census_report, enumerate_subgqs_through_line
-from .spg import SPGParameters, expected_parameters, hypothesis_gate, verify_spg
+from .spg import SPGParameters, hypothesis_gate, verify_spg
 from .subtension import build_derived_pair, theta_census
 
 SCHEMA_VERSION = "1"
@@ -69,30 +66,36 @@ def _cache_dir(args):
     return getattr(args, "cache", None) or os.environ.get("GQCOV_CACHE")
 
 
+# family name (as on the command line and in the cache) -> builder in constructions
+FAMILY_BUILDERS = {
+    "grid": "build_grid",
+    "w": "build_W",
+    "q4": "build_Q4",
+    "q5q4": "build_Q5_with_Q4",
+    "q4q3": "build_Q4_with_Q3",
+    "h4h3": "build_H4_with_H3",
+}
+FAMILY_OF_BUILDER = {b: f for f, b in FAMILY_BUILDERS.items()}
+
+
+def _build_kk(q, sigma=None, m=None):
+    """The Kantor-Knuth quadrangle for Frobenius exponent sigma (default 1)
+    and m the least non-square unless given."""
+    from .gf import field_of_order
+
+    m = m if m is not None else field_of_order(q).nonsquare()
+    return build_kantor_knuth(QClanSpec(q, 1 if sigma is None else sigma, m))
+
+
 def build_family(family, q, sigma=None, m=None):
-    """Geometry plus optional embedding for one of the supported families."""
-    if family == "grid":
-        return build_grid(q), None
-    if family == "w":
-        return build_W(q), None
-    if family == "q4":
-        from .constructions import build_Q4
-
-        return build_Q4(q), None
-    if family == "q5q4":
-        return build_Q5_with_Q4(q)
-    if family == "q4q3":
-        return build_Q4_with_Q3(q)
-    if family == "h4h3":
-        return build_H4_with_H3(q)
+    """Geometry plus its embedding (a KKResult for "kk", else None)."""
     if family == "kk":
-        gfq_sigma = 1 if sigma is None else sigma
-        from .gf import field_of_order
-
-        mm = m if m is not None else field_of_order(q).nonsquare()
-        res = build_kantor_knuth(QClanSpec(q, gfq_sigma, mm))
+        res = _build_kk(q, sigma, m)
         return res.structure, res
-    raise ValueError(f"unknown family {family}")
+    if family not in FAMILY_BUILDERS:
+        raise ValueError(f"unknown family {family}")
+    built = getattr(constructions, FAMILY_BUILDERS[family])(q)
+    return built if isinstance(built, tuple) else (built, None)
 
 
 def construct_cached(family, q, *, cache=None, no_build=False, sigma=None):
@@ -241,26 +244,30 @@ def cmd_reconstruct(args):
     return 0
 
 
+def _coplanar_counts(pair, samples, seed):
+    """(coplanar, total) over the seeded single-line and then the multi-line
+    transversal configurations of a derived pair."""
+    counts = []
+    for r_values in ([1], list(range(2, pair.census.theta + 1))):
+        found = covers_mod.transversal_instances(
+            pair, r_values=r_values, samples=samples, seed=seed
+        )
+        counts.append((sum(covers_mod.instance_coplanar(pair, i) for i in found), len(found)))
+    return counts
+
+
 def cmd_transversal_config(args):
     pair = load_pair_dir(args.pair)
-    theta = pair.census.theta
-    singles = covers_mod.transversal_instances(
-        pair, r_values=[1], samples=args.samples, seed=args.seed
-    )
-    multis = covers_mod.transversal_instances(
-        pair, r_values=list(range(2, theta + 1)), samples=args.samples, seed=args.seed
-    )
-    single_planar = [covers_mod.instance_coplanar(pair, i) for i in singles]
-    multi_planar = [covers_mod.instance_coplanar(pair, i) for i in multis]
-    ok = all(single_planar) and not any(multi_planar)
+    (sc, sn), (mc, mn) = _coplanar_counts(pair, args.samples, args.seed)
+    ok = sc == sn and mc == 0
     _write_report(
         args.out,
         {
             "verdict": "pass" if ok else "fail",
-            "single_coplanar": sum(single_planar),
-            "single_total": len(singles),
-            "multi_coplanar": sum(multi_planar),
-            "multi_total": len(multis),
+            "single_coplanar": sc,
+            "single_total": sn,
+            "multi_coplanar": mc,
+            "multi_total": mn,
         },
     )
     return 0 if ok else 1
@@ -302,7 +309,7 @@ def cmd_extend(args):
             "extensions": [p.to_json_dict() for p in rep.extensions],
         },
     )
-    return 0
+    return 0 if rep.extensions else 1
 
 
 def cmd_spg_check(args):
@@ -327,37 +334,64 @@ def cmd_spg_check(args):
     return 0 if rep.ok else 1
 
 
-def cmd_kk_census(args):
-    from .gf import field_of_order
+def _kk_census(res, q, checkpoint=None, log=None):
+    """Orbit report over the q^3 + q^2 subquadrangles through the
+    distinguished line of a Kantor-Knuth quadrangle, the counts asserted."""
+    records = enumerate_subgqs_through_line(
+        res.structure,
+        res.infinity_line,
+        expected_total=q**3 + q**2,
+        checkpoint_dir=checkpoint,
+        log=log,
+    )
+    return census_report(records, q=q)
 
-    m = args.m if args.m is not None else field_of_order(args.q).nonsquare()
-    res = build_kantor_knuth(QClanSpec(args.q, args.sigma, m))
-    records = _enumerate_kk(res, args)
-    report = census_report(records, q=args.q)
-    payload = report.to_json_dict()
+
+def cmd_kk_census(args):
+    res = _build_kk(args.q, args.sigma, args.m)
+    logger = (lambda msg: print(msg, flush=True)) if args.verbose else None
+    payload = _kk_census(res, args.q, args.checkpoint, logger).to_json_dict()
     payload["verdict"] = "pass"
     payload["classical"] = res.classical
     _write_report(args.out, payload)
     return 0
 
 
-def _enumerate_kk(res, args):
-    g = res.structure
-    logger = (lambda msg: print(msg, flush=True)) if args.verbose else None
-    return enumerate_subgqs_through_line(
-        g,
-        res.infinity_line,
-        expected_total=args.q**3 + args.q**2,
-        checkpoint_dir=args.checkpoint,
-        log=logger,
-    )
-
-
 # -- suites -----------------------------------------------------------------------
+
+# (section builder, q) -> (ambient points, lines, section points, lines), and
+# the quadrangle orders of the ambient and of the section
+SECTION_TABLE = {
+    ("build_Q5_with_Q4", 2): ((27, 45, 15, 15), (2, 4), (2, 2)),
+    ("build_Q5_with_Q4", 3): ((112, 280, 40, 40), (3, 9), (3, 3)),
+    ("build_H4_with_H3", 2): ((165, 297, 45, 27), (4, 8), (4, 2)),
+}
+
+# Claims the engine refutes with a machine-checked counterexample.  Their
+# checks assert the claim as stated; a failure's details end with the reason.
+ERRATA = {
+    "transversal-planarity-h4h3": (
+        "The Hermitian clause is a documented erratum: plain-variant |M|=2 "
+        "configurations sit in two planes meeting in a line through the base "
+        "transversal's point, and their s+1 marked points are coplanar for "
+        "about 29% of valid seeded samples (each violator passes an "
+        "independent hypothesis validator and a span-enumeration rank oracle)."
+    ),
+    "grid-generators-extend-3": (
+        "The s=3 clause is a documented erratum: only 576 of the 1152 grid(3) "
+        "automorphisms extend into Q(4,3) (exhaustively verified; the grid "
+        "stabilizer has order 1152 with elementwise kernel 2, and extensions "
+        "must preserve the 12 subtended ovoids among all 24, which the "
+        "ovoid-transitive Aut(grid(3)) cannot), so no generating set can "
+        "consist of extendable elements only."
+    ),
+}
 
 
 def run_suite(name, *, out_dir=None, seed=0, budget=None, no_build=False, cache=None):
     """Run a named verification suite; returns (exit_status, manifest dict)."""
+    if not __debug__:
+        raise RuntimeError("suite checks are assert statements, which python -O strips")
     start = time.time()
     verdicts = []
     timings = {}
@@ -369,6 +403,8 @@ def run_suite(name, *, out_dir=None, seed=0, budget=None, no_build=False, cache=
             ok = True
         except Exception as exc:  # report, do not crash the suite
             detail = f"{type(exc).__name__}: {exc}"
+            if label in ERRATA:
+                detail += f". {ERRATA[label]}"
             ok = False
         timings[label] = round(time.time() - t0, 3)
         verdicts.append({"name": label, "pass": ok, "details": detail})
@@ -407,14 +443,29 @@ def run_suite(name, *, out_dir=None, seed=0, budget=None, no_build=False, cache=
     return status, manifest
 
 
+def _sizes(amb, emb):
+    return (amb.point_count, amb.line_count, len(emb.point_subset), len(emb.line_subset))
+
+
 def _suite_lower_q2(check, *, seed, budget, no_build, cache):
     amb, emb = construct_cached("q5q4", 2, cache=cache, no_build=no_build)
     pair = build_derived_pair(emb)
 
     def counts():
-        assert (amb.point_count, amb.line_count) == (27, 45)
-        assert (len(emb.point_subset), len(emb.line_subset)) == (15, 15)
-        return "Q(5,2) 27/45 with 15/15 section"
+        checks = []
+        for (builder, q), (sizes, order, sub_order) in SECTION_TABLE.items():
+            a, e = construct_cached(FAMILY_OF_BUILDER[builder], q, cache=cache, no_build=no_build)
+            checks += [
+                (_sizes(a, e), sizes),
+                (verify_gq_axioms(a), order),
+                (verify_gq_axioms(e.substructure), sub_order),
+                (e.sub_order, sub_order),
+            ]
+        for family, q, order in (("grid", 2, (2, 1)), ("w", 2, (2, 2)), ("w", 3, (3, 3))):
+            checks.append((verify_gq_axioms(build_family(family, q)[0]), order))
+        bad = [(got, want) for got, want in checks if got != want]
+        assert not bad, f"(got, expected): {bad}"
+        return f"{len(checks)} count and order identities"
 
     check("construction-counts", counts)
     found = {}
@@ -436,36 +487,41 @@ def _suite_lower_q2(check, *, seed, budget, no_build, cache):
     def factorizations():
         f0 = covers_mod.factorize_lower(pair, pair.pi)
         assert f0.e_point_perm == tuple(range(pair.E.point_count))
+        assert f0.e_line_perm == tuple(range(pair.E.line_count))
         assert f0.base_point_map == tuple(range(len(emb.point_subset)))
         orientations = set()
         for c in found["covers"]:
-            orientations.add(covers_mod.factorize_lower(pair, c).orientation)
+            f = covers_mod.factorize_lower(pair, c)
+            # exactness: the cover is alpha o pi
+            assert np.array_equal(np.take(f.e_point_perm, pair.pi.point_map), c.point_map)
+            assert np.array_equal(np.take(f.e_line_perm, pair.pi.line_map), c.line_map)
+            orientations.add(f.orientation)
         return f"all factorized, orientations {sorted(orientations)}"
 
     check("lower-factorization", factorizations)
 
     def initial():
         covs = found["covers"]
-        pts = np.array([c.point_map for c in covs])
-        lns = np.array([c.line_map for c in covs])
-        f = [covers_mod.factorize_lower(pair, c) for c in covs]
-        pperm = np.array([x.e_point_perm for x in f])
-        lperm = np.array([x.e_line_perm for x in f])
-        inv_p = np.argsort(pperm, axis=1)
-        inv_l = np.argsort(lperm, axis=1)
-        for i in range(len(covs)):
-            # delta(i -> j) = perm_j o perm_i^-1 must carry cover i to cover j
-            dp = pperm[:, inv_p[i]]
-            dl = lperm[:, inv_l[i]]
-            assert (dp[:, pts[i]] == pts).all() and (dl[:, lns[i]] == lns).all()
-            # inverse pairing: delta(i->j) inverse equals delta(j->i)
-        k = min(25, len(covs))
-        for i in range(k):
-            for j in range(k):
-                dij_p = pperm[j][inv_p[i]]
-                dji_p = pperm[i][inv_p[j]]
-                assert (dij_p[dji_p] == np.arange(dij_p.size)).all()
-        return "unique connecting map for every ordered pair, inverse-compatible"
+        n = len(covs)
+        for maps, size in (
+            (np.array([c.point_map for c in covs]), pair.E.point_count),
+            (np.array([c.line_map for c in covs]), pair.E.line_count),
+        ):
+            dtype = np.min_scalar_type(-size)  # signed, so -1 marks "not forced"
+            deltas = np.empty((n, n, size), dtype=dtype)
+            for i in range(n):
+                # delta(i -> j) o cover i = cover j forces delta(i -> j) on the
+                # image of cover i: it must be well defined and total
+                forced = np.full((n, size), -1, dtype=dtype)
+                forced[:, maps[i]] = maps
+                assert (forced[:, maps[i]] == maps).all(), f"cover {i}: forced map not well defined"
+                assert (forced >= 0).all(), f"cover {i}: forced map not total"
+                deltas[i] = forced
+            # delta(i -> j) o delta(j -> i) is the identity
+            for i in range(n):
+                composed = np.take_along_axis(deltas[i], deltas[:, i].astype(np.intp), axis=1)
+                assert (composed == np.arange(size)).all(), f"cover {i}: maps not inverse"
+        return f"unique connecting map for all {n}x{n} ordered pairs, inverse-compatible"
 
     check("initial-object", initial)
 
@@ -496,17 +552,13 @@ def _suite_lower_q3(check, *, seed, budget, no_build, cache):
 
 
 def _suite_spg_all(check, *, seed, budget, no_build, cache):
-    cases = [
-        ("q5q4", 2, (27, 45, 15, 15), (1, 4, 2, 4), 2),
-        ("q5q4", 3, (112, 280, 40, 40), (2, 9, 2, 12), 2),
-        ("h4h3", 2, (165, 297, 45, 27), (3, 8, 3, 18), 3),
-    ]
-    for family, q, counts, params, theta in cases:
+    for (builder, q), params in SPG_TABLE.items():
+        family = FAMILY_OF_BUILDER[builder]
         amb, emb = construct_cached(family, q, cache=cache, no_build=no_build)
 
-        def one(amb=amb, emb=emb, counts=counts, params=params, theta=theta):
-            assert (amb.point_count, amb.line_count) == counts[:2]
-            assert (len(emb.point_subset), len(emb.line_subset)) == counts[2:]
+        def one(amb=amb, emb=emb, key=(builder, q), params=params):
+            assert _sizes(amb, emb) == SECTION_TABLE[key][0]
+            theta = THETA_TABLE[key]
             pair = build_derived_pair(emb)
             assert pair.census.uniform and pair.census.theta == theta
             gate = hypothesis_gate(emb, pair.census)
@@ -567,15 +619,7 @@ def _suite_reconstruct(check, *, seed, budget, no_build, cache):
         pairX = build_derived_pair(embX)
 
         def planarity(pair=pairX):
-            theta = pair.census.theta
-            singles = covers_mod.transversal_instances(
-                pair, r_values=[1], samples=100, seed=seed
-            )
-            multis = covers_mod.transversal_instances(
-                pair, r_values=list(range(2, theta + 1)), samples=100, seed=seed
-            )
-            sc = sum(covers_mod.instance_coplanar(pair, i) for i in singles)
-            mc = sum(covers_mod.instance_coplanar(pair, i) for i in multis)
+            (sc, _sn), (mc, _mn) = _coplanar_counts(pair, 100, seed)
             assert sc == 100, f"{sc}/100 single-line instances coplanar"
             assert mc == 0, f"{mc}/100 multi-line instances coplanar"
             return "planarity dichotomy holds on 100 + 100 seeded samples"
@@ -583,12 +627,24 @@ def _suite_reconstruct(check, *, seed, budget, no_build, cache):
         check(f"transversal-planarity-{family}", planarity)
 
 
+def _generator_misses(emb):
+    """How many generators of the subgeometry's group extend into the
+    ambient not at all, and how many generators there are."""
+    gens = automorphism_group(emb.substructure).geometry_generators
+    misses = sum(
+        not extend_automorphism(emb, gen, mode="find_one", compute_kernel=False).extensions
+        for gen in gens
+    )
+    return misses, len(gens)
+
+
 def _suite_extension_grid(check, *, seed, budget, no_build, cache):
     def identity_case():
         _amb, emb = construct_cached("q5q4", 2, cache=cache, no_build=no_build)
         rep = extend_automorphism(emb, Permutation.identity(emb.substructure))
         assert len(rep.extensions) == 2 and rep.kernel_order == 2
-        return "identity has exactly 2 extensions; kernel order 2"
+        assert elementwise_kernel(automorphism_group(emb.ambient), emb).order() == 2
+        return "identity has exactly 2 extensions; kernel order 2, also in Aut(Q(5,2))"
 
     check("identity-two-extensions", identity_case)
 
@@ -608,27 +664,17 @@ def _suite_extension_grid(check, *, seed, budget, no_build, cache):
 
         def gens_extend(s=s):
             _amb, emb = construct_cached("q4q3", s, cache=cache, no_build=no_build)
-            G = automorphism_group(emb.substructure)
-            misses = []
-            for gen in G.geometry_generators:
-                rep = extend_automorphism(emb, gen, mode="find_one", compute_kernel=False)
-                if not rep.extensions:
-                    misses.append(gen)
-            assert not misses, f"{len(misses)} of {len(G.geometry_generators)} generators do not extend"
+            misses, total = _generator_misses(emb)
+            assert not misses, f"{misses} of {total} generators do not extend"
             return "every generator extends"
 
         check(f"grid-generators-extend-{s}", gens_extend)
 
     def s4_negative():
         _amb, emb = construct_cached("q4q3", 4, cache=cache, no_build=no_build)
-        G = automorphism_group(emb.substructure)
-        missing = 0
-        for gen in G.geometry_generators:
-            rep = extend_automorphism(emb, gen, mode="find_one", compute_kernel=False)
-            if not rep.extensions:
-                missing += 1
-        assert missing >= 1
-        return f"{missing} generators admit no extension"
+        misses, _total = _generator_misses(emb)
+        assert misses >= 1
+        return f"{misses} generators admit no extension"
 
     check("grid4-nonextension", s4_negative)
 
@@ -649,9 +695,10 @@ def _suite_higher(check, *, seed, budget, no_build, cache):
 
         check(f"higher-decomposition-q{q}", higher)
 
-        def two_ways(pair=pair):
+        def two_ways(pair=pair, q=q):
             rep = compare_derived_automorphisms(pair)
             assert rep.equal
+            assert rep.direct_order == {2: 720, 3: 51_840}[q], rep.direct_order
             return f"both computations give order {rep.direct_order}"
 
         check(f"derived-aut-two-ways-q{q}", two_ways)
@@ -659,18 +706,12 @@ def _suite_higher(check, *, seed, budget, no_build, cache):
 
 def _suite_kk(check, *, seed, budget, no_build, cache):
     def census():
-        from .gf import field_of_order
-
-        m = field_of_order(9).nonsquare()
-        res = build_kantor_knuth(QClanSpec(9, 1, m))
+        res = _build_kk(9)
         assert not res.classical
         order = verify_gq_axioms(res.structure)
         assert order == GQOrder(9, 81)
-        ck = os.environ.get("GQCOV_KK_CHECKPOINT")
-        records = enumerate_subgqs_through_line(
-            res.structure, res.infinity_line, expected_total=810, checkpoint_dir=ck
-        )
-        report = census_report(records, q=9)
+        report = _kk_census(res, 9, os.environ.get("GQCOV_KK_CHECKPOINT"))
+        assert report.total == 810
         assert report.omega1 == 162 and report.omega2 == 648
         assert set(report.one_subtended_per_omega2) == {6480}
         return "810 subquadrangles: 162 + 648, each of the 648 with 6480 one-subtended ovoids"
@@ -699,8 +740,7 @@ def build_parser():
     sub = p.add_subparsers(dest="command", required=True)
 
     c = sub.add_parser("construct", help="build a geometry family")
-    c.add_argument("--family", required=True,
-                   choices=["grid", "w", "q4", "q5q4", "q4q3", "h4h3", "kk"])
+    c.add_argument("--family", required=True, choices=[*FAMILY_BUILDERS, "kk"])
     c.add_argument("--q", type=int, required=True)
     c.add_argument("--sigma", type=int, default=None)
     c.add_argument("--out", required=True)

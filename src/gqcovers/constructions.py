@@ -13,13 +13,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from .errors import MissingCoordinatesError
 from .gf import GF, field, field_of_order
-from .incidence import IncidenceStructure, SubGeometryEmbedding, induced_subgeometry
+from .incidence import IncidenceStructure, induced_subgeometry
 
 
 # -- projective points -------------------------------------------------------
@@ -213,6 +212,14 @@ THETA_TABLE = {
     ("build_H4_with_H3", 2): 3,
 }
 
+# The semipartial geometry table: (section builder, q) -> (s, t, alpha, mu) of
+# the derived geometry E of the theta-cover pairs.
+SPG_TABLE = {
+    ("build_Q5_with_Q4", 2): (1, 4, 2, 4),
+    ("build_Q5_with_Q4", 3): (2, 9, 2, 12),
+    ("build_H4_with_H3", 2): (3, 8, 3, 18),
+}
+
 
 def points_coplanar(g, points) -> bool:
     """True iff the homogeneous coordinates of the points span <= 3 dimensions."""
@@ -315,10 +322,7 @@ def build_kantor_knuth(spec: QClanSpec, clan_override=None) -> KKResult:
     tvals = list(gfq.elements())  # finite clan members; infinity handled apart
     n_members = q + 1
 
-    # flock line ids: symbols [A(t)] first (0..q), then member-subgroup cosets
-    def line_id(member_idx, label):
-        return n_members + member_idx * q**3 + label
-
+    # flock line ids: symbols [A(t)] first (0..q), then member-subgroup cosets;
     # flock point ids: G elements, then tangent cosets, then the symbol
     def tangent_point_id(member_idx, label):
         return n_g + member_idx * q**2 + label

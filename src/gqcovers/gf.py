@@ -215,9 +215,6 @@ class GF:
             acc = self.add(acc, self.mul(x, y))
         return acc
 
-    def scale(self, c, v):
-        return tuple(self.mul(c, x) for x in v)
-
     def rank(self, rows):
         """Row rank of a matrix (iterable of coordinate tuples) over the field."""
         rows = [list(r) for r in rows if any(r)]

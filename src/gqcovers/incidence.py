@@ -34,10 +34,6 @@ class GQOrder(NamedTuple):
     s: int
     t: int
 
-    @property
-    def thick(self):
-        return self.s >= 2 and self.t >= 2
-
 
 @dataclass(frozen=True)
 class AxiomFailure:

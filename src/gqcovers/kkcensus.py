@@ -153,7 +153,8 @@ def enumerate_subgqs_through_line(
         ck_path = os.path.join(checkpoint_dir, "progress.jsonl")
         _load_checkpoint(ck_path, found_points, done_pairs)
 
-    found_masks = _stack_masks(g.point_count, found_points)
+    # rows 0..len(found_points)-1 hold the record masks; the capacity doubles
+    masks = _stack_masks(g.point_count, found_points)
     closures = 0
 
     def closure(seed_pts, seed_lns):
@@ -169,13 +170,15 @@ def enumerate_subgqs_through_line(
     ck_handle = open(ck_path, "a") if ck_path else None
 
     def record(cpts, clns):
-        nonlocal found_masks
+        nonlocal masks
         key = tuple(np.nonzero(cpts)[0].tolist())
         if key in found_points:
             return
         val = tuple(np.nonzero(clns)[0].tolist())
+        if len(found_points) == len(masks):
+            masks = np.concatenate([masks, np.zeros_like(masks)])
+        masks[len(found_points)] = cpts
         found_points[key] = val
-        found_masks = np.concatenate([found_masks, cpts[None, :]])
         if ck_handle:
             ck_handle.write(
                 json.dumps({"type": "subgq", "points": list(key), "lines": list(val)})
@@ -184,7 +187,7 @@ def enumerate_subgqs_through_line(
 
     def walk_pair(l1, l2):
         seed = line_pts[[l1, l2]].ravel()
-        covered = _covering_union(found_masks, seed)
+        covered = _covering_union(masks[:len(found_points)], seed)
         # Every closure from this pair stays inside a record holding both
         # lines, so once those records cover every point the pair is spent.
         if covered.all():
@@ -208,7 +211,7 @@ def enumerate_subgqs_through_line(
             cpts, clns = closure(np.append(grid_pts, x), (l1, l2))
             if _is_full_subgq(cpts, clns, point_lns, s):
                 record(cpts, clns)
-                covered = _covering_union(found_masks, seed)
+                covered = _covering_union(masks[:len(found_points)], seed)
 
     todo = [k for k in range(lo, hi) if k not in done_pairs]
     started = time.monotonic()
@@ -253,9 +256,7 @@ def _covering_union(found_masks, seed):
 
 
 def _stack_masks(n, found_points):
-    if not found_points:
-        return np.zeros((0, n), dtype=bool)
-    out = np.zeros((len(found_points), n), dtype=bool)
+    out = np.zeros((max(len(found_points), 16), n), dtype=bool)
     for i, key in enumerate(found_points):
         out[i, list(key)] = True
     return out
@@ -279,7 +280,8 @@ def record_census(rec: SubGQRecord, *, s, tprime):
     """Subtender census of one record, classed straight from its point set
     (the embedding machinery is too heavy to rebuild hundreds of times)."""
     classes = ovoid_classes(rec.ambient, rec.points)
-    sizes = classes.rows.sum(axis=1)
+    # a trace holds at most len(rec.points) points, so this sum cannot wrap
+    sizes = classes.rows.sum(axis=1, dtype=np.min_scalar_type(len(rec.points)))
     expected = s * tprime + 1
     if sizes.size and (sizes.min() != expected or sizes.max() != expected):
         raise ConsistencyViolation(

@@ -1,9 +1,13 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+from gqcovers.autgroup import automorphism_group
 from gqcovers.cli import main, run_suite
+from gqcovers.incidence import IncidenceStructure, SubGeometryEmbedding
 
 
 def run(args):
@@ -109,6 +113,25 @@ def test_aut_and_extend_cli(workdir, capsys):
     assert out["extension_count"] == 2 and out["kernel_order"] == 2
 
 
+def test_extend_cli_exit_status(workdir, capsys):
+    """Generators of Aut(grid(3)) inside Q(4,3): one without an extension
+    gives a failing verdict and exit status 1, one with an extension 0."""
+    assert run(["construct", "--family", "q4q3", "--q", "3", "--out", "q43.json"]) == 0
+    capsys.readouterr()
+    emb = SubGeometryEmbedding.load("q43.embedding.json", IncidenceStructure.load("q43.json"))
+    statuses = []
+    for gen in automorphism_group(emb.substructure).geometry_generators:
+        with open("gen.json", "w") as fh:
+            json.dump(gen.to_json_dict(), fh)
+        status = run(["extend", "--ambient", "q43.json", "--embedding", "q43.embedding.json",
+                      "--phi", "gen.json"])
+        out = json.loads(capsys.readouterr().out)
+        assert status == (0 if out["verdict"] == "pass" else 1)
+        assert (out["extension_count"] > 0) == (out["verdict"] == "pass")
+        statuses.append(status)
+    assert set(statuses) == {0, 1}
+
+
 def test_suite_manifest_deterministic(workdir):
     status1, m1 = run_suite("lower-q3", out_dir="suites", seed=0)
     status2, m2 = run_suite("lower-q3", out_dir="suites", seed=0)
@@ -128,6 +151,15 @@ def test_suite_cache_and_no_build(workdir, tmp_path_factory):
     # now the cache satisfies --no-build
     status, _m = run_suite("lower-q3", seed=0, no_build=True, cache=cache)
     assert status == 0
+
+
+def test_suite_refuses_optimized_python():
+    """python -O strips the asserts the suite checks are made of, so a suite
+    must not run there and report every check passed."""
+    code = "from gqcovers.cli import run_suite; run_suite('lower-q3')"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, env=env)
+    assert proc.returncode != 0 and b"python -O strips" in proc.stderr
 
 
 def test_unknown_suite_rejected():

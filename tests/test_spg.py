@@ -1,6 +1,6 @@
 import pytest
 
-from gqcovers.constructions import build_Q5_with_Q3
+from gqcovers.constructions import SPG_TABLE, build_Q5_with_Q3
 from gqcovers.errors import HypothesisError
 from gqcovers.incidence import IncidenceStructure, verify_gq_axioms
 from gqcovers.spg import SPGParameters, expected_parameters, hypothesis_gate, verify_spg
@@ -9,9 +9,15 @@ from gqcovers.subtension import theta_census
 from .oracles import brute_spg_parameters
 
 
+PAIR_FIXTURES = {
+    ("build_Q5_with_Q4", 2): "pair_q2",
+    ("build_Q5_with_Q4", 3): "pair_q3",
+    ("build_H4_with_H3", 2): "pair_h",
+}
+
+
 @pytest.mark.parametrize(
-    "pair_name,params",
-    [("pair_q2", (1, 4, 2, 4)), ("pair_q3", (2, 9, 2, 12)), ("pair_h", (3, 8, 3, 18))],
+    "pair_name,params", [(PAIR_FIXTURES[key], params) for key, params in SPG_TABLE.items()]
 )
 def test_spg_parameters(pair_name, params, request):
     pair = request.getfixturevalue(pair_name)
