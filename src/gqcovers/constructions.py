@@ -2,82 +2,85 @@
 quadrangles, Hermitian quadrangles, their standard sections, and the
 Kantor-Knuth flock quadrangle (built on the coset model and dualized).
 
-Fixed canonical forms, so outputs are byte-deterministic:
-  Q(4,q):  x0^2 = x1*x2 + x3*x4
-  Q(5,q):  f(x0,x1) + x2*x3 + x4*x5, f the lex-least irreducible binary quadratic
-  H(n,q^2): sum x_i^(q+1) = 0
-  W(q):    alternating form x0*y1 - x1*y0 + x2*y3 - x3*y2
+Each classical quadrangle is the polar space of one fixed form matrix (Payne &
+Thas, Finite Generalized Quadrangles, ch. 3), so outputs are byte-deterministic:
+  Q(4,q):   x0^2 - x1*x2 - x3*x4, upper triangular; polar form + form^T
+  Q(5,q):   f(x0,x1) + x2*x3 + x4*x5, upper triangular, f = x0^2 + b*x0*x1 +
+            c*x1^2 the lex-least irreducible; polar form + form^T
+  W(q):     alternating x0*y1 - x1*y0 + x2*y3 - x3*y2; polar = form
+  H(n,q^2): identity, sum x_i * y_i^q (conjugation x -> x^q); polar = form
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MissingCoordinatesError
+from .errors import ConsistencyViolation, MissingCoordinatesError
 from .gf import GF, field, field_of_order
 from .incidence import IncidenceStructure, induced_subgeometry
 
 
-# -- projective points -------------------------------------------------------
+# -- polar spaces from their form matrices ---------------------------------------
 
 
-def normalize_projective(gfq: GF, vec):
-    """Scale so the first nonzero coordinate is 1; unique representative."""
-    vec = tuple(vec)
-    for x in vec:
-        if x:
-            c = gfq.inv(x)
-            return tuple(gfq.mul(c, y) for y in vec)
-    raise ValueError("zero vector has no projective normalization")
+def _polar_structure(gfq: GF, form, polar, conj, name):
+    """The polar-space GQ of a form matrix over gfq, a numpy build.
 
-
-def projective_points(gfq: GF, ncoords):
-    """All points of PG(ncoords-1, q) as normalized tuples, lex sorted."""
-    pts = []
-    for pivot in range(ncoords):
-        head = (0,) * pivot + (1,)
-        for tail in itertools.product(gfq.elements(), repeat=ncoords - pivot - 1):
-            pts.append(head + tail)
-    pts.sort()
-    return pts
-
-
-def _line_points(gfq, x, y):
-    """Normalized points of the projective line through x and y."""
-    pts = [normalize_projective(gfq, y)]
-    for lam in gfq.elements():
-        vec = tuple(gfq.add(a, gfq.mul(lam, b)) for a, b in zip(x, y))
-        pts.append(normalize_projective(gfq, vec))
-    return pts
-
-
-def _variety_structure(gfq, ncoords, singular, pair_ok, name):
-    """Generic polar-space GQ: singular points, lines from orthogonal pairs.
-
-    pair_ok(x, y) must hold exactly when the projective line through two
-    singular points is totally singular; every line is double-checked point
-    by point rather than trusted.
+    Points: the projective points x (first nonzero coordinate 1, lex sorted)
+    with x.form.x^conj = 0, where x^conj raises each coordinate to the power
+    conj.  Lines: the spans of two points x, y with x.polar.y^conj = 0; every
+    point of every span is checked to lie on the variety.  A quadric's polar
+    is form + form^T, added in the field so characteristic 2 is right.  Each
+    point is paired with the later points in one pass, and each line is kept
+    once, from its first two points.
     """
-    pts = [p for p in projective_points(gfq, ncoords) if singular(p)]
-    index = {p: i for i, p in enumerate(pts)}
-    lines = set()
+    add, mul, inv = gfq.add_table, gfq.mul_table, gfq.inv_table
+    q, n = gfq.q, len(form)
+    weights = q ** np.arange(n - 1, -1, -1)
+    # normalized vectors in lex order: leading 1 at position n-1-k, k free digits
+    codes = np.concatenate([q**k + np.arange(q**k) for k in range(n)])
+    vecs = (codes[:, None] // weights) % q
+    power = np.array([gfq.power(a, conj) for a in gfq.elements()])
+
+    def pair_values(left, right):
+        """sum_b left_b * right_b^conj, over broadcast rows."""
+        acc = 0
+        for b in range(n):
+            acc = add[acc, mul[left[..., b], power[right[..., b]]]]
+        return acc
+
+    def times(x, matrix):
+        """The row vectors x.matrix over the field."""
+        acc = 0
+        for a in range(n):
+            acc = add[acc, mul[x[..., a, None], matrix[a]]]
+        return acc
+
+    pts = vecs[pair_values(times(vecs, form), vecs) == 0]
+    pt_codes = pts @ weights
+    ids = list(range(len(pts)))  # one int object per point, shared by its lines
+    lines = []
     for i, x in enumerate(pts):
-        for j in range(i + 1, len(pts)):
-            y = pts[j]
-            if not pair_ok(x, y):
-                continue
-            member_pts = _line_points(gfq, x, y)
-            assert all(p in index for p in member_pts), "line leaves the variety"
-            lines.add(tuple(sorted(index[p] for p in set(member_pts))))
-    return IncidenceStructure(
-        len(pts), sorted(lines), name=name, coords=pts, field=gfq.spec
-    )
+        js = i + 1 + np.flatnonzero(pair_values(times(x, polar), pts[i + 1:]) == 0)
+        span = add[x, mul[np.arange(1, q)[:, None], pts[js][:, None]]]  # x + lam*y
+        lead = np.take_along_axis(span, (span != 0).argmax(axis=2)[..., None], axis=2)
+        span_codes = mul[inv[lead], span] @ weights
+        at = np.minimum(np.searchsorted(pt_codes, span_codes), len(pts) - 1)
+        if not (pt_codes[at] == span_codes).all():
+            raise ConsistencyViolation(f"a line of {name} leaves the variety")
+        first = at.min(axis=1, initial=len(pts)) > js  # x, y: the line's first two points
+        for j, rest in zip(js[first].tolist(), at[first].tolist()):
+            lines.append((ids[i], ids[j], *map(ids.__getitem__, rest)))
+    return IncidenceStructure(len(pts), lines, name=name, coords=pts.tolist(), field=gfq.spec)
 
 
-# -- quadrics and friends ------------------------------------------------------
+def _form_matrix(n, entries):
+    """The n x n matrix of field elements, zero but for {(row, col): value}."""
+    matrix = np.zeros((n, n), dtype=np.int64)
+    matrix[tuple(zip(*entries))] = list(entries.values())
+    return matrix
 
 
 def _irreducible_binary_quadratic(gfq):
@@ -92,16 +95,6 @@ def _irreducible_binary_quadratic(gfq):
     raise AssertionError("no irreducible binary quadratic found")
 
 
-def _quadric_structure(gfq, ncoords, qform, name):
-    def bilinear(x, y):
-        s = tuple(gfq.add(a, b) for a, b in zip(x, y))
-        return gfq.sub(gfq.sub(qform(s), qform(x)), qform(y))
-
-    return _variety_structure(
-        gfq, ncoords, lambda p: qform(p) == 0, lambda x, y: bilinear(x, y) == 0, name
-    )
-
-
 def build_grid(s) -> IncidenceStructure:
     """Grid of order (s, 1): (s+1)^2 points in two parallel line classes."""
     if s < 1:
@@ -114,55 +107,30 @@ def build_grid(s) -> IncidenceStructure:
 
 def build_Q4(q) -> IncidenceStructure:
     gfq = field_of_order(q)
-
-    def qform(x):
-        t1 = gfq.mul(x[0], x[0])
-        t2 = gfq.mul(x[1], x[2])
-        t3 = gfq.mul(x[3], x[4])
-        return gfq.sub(gfq.sub(t1, t2), t3)
-
-    return _quadric_structure(gfq, 5, qform, name=f"Q(4,{q})")
+    m = gfq.neg(1)
+    form = _form_matrix(5, {(0, 0): 1, (1, 2): m, (3, 4): m})
+    return _polar_structure(gfq, form, gfq.add_table[form, form.T], 1, f"Q(4,{q})")
 
 
 def build_Q5(q) -> IncidenceStructure:
     gfq = field_of_order(q)
     b, c = _irreducible_binary_quadratic(gfq)
-
-    def qform(x):
-        f = gfq.add(
-            gfq.add(gfq.mul(x[0], x[0]), gfq.mul(b, gfq.mul(x[0], x[1]))),
-            gfq.mul(c, gfq.mul(x[1], x[1])),
-        )
-        return gfq.add(f, gfq.add(gfq.mul(x[2], x[3]), gfq.mul(x[4], x[5])))
-
-    return _quadric_structure(gfq, 6, qform, name=f"Q(5,{q})")
+    form = _form_matrix(6, {(0, 0): 1, (0, 1): b, (1, 1): c, (2, 3): 1, (4, 5): 1})
+    return _polar_structure(gfq, form, gfq.add_table[form, form.T], 1, f"Q(5,{q})")
 
 
 def build_W(q) -> IncidenceStructure:
     gfq = field_of_order(q)
-
-    def pair_ok(x, y):
-        s = gfq.sub(gfq.mul(x[0], y[1]), gfq.mul(x[1], y[0]))
-        t = gfq.sub(gfq.mul(x[2], y[3]), gfq.mul(x[3], y[2]))
-        return gfq.add(s, t) == 0
-
-    return _variety_structure(gfq, 4, lambda p: True, pair_ok, name=f"W({q})")
+    m = gfq.neg(1)
+    form = _form_matrix(4, {(0, 1): 1, (1, 0): m, (2, 3): 1, (3, 2): m})
+    return _polar_structure(gfq, form, form, 1, f"W({q})")
 
 
 def build_H(n, q) -> IncidenceStructure:
     """Hermitian variety H(n, q^2) over GF(q^2), conjugation x -> x^q."""
     gfq = field_of_order(q * q)
-
-    def herm(x, y):
-        acc = 0
-        for a, b in zip(x, y):
-            acc = gfq.add(acc, gfq.mul(a, gfq.power(b, q)))
-        return acc
-
-    return _variety_structure(
-        gfq, n + 1, lambda p: herm(p, p) == 0, lambda x, y: herm(x, y) == 0,
-        name=f"H({n},{q * q})",
-    )
+    form = np.eye(n + 1, dtype=np.int64)
+    return _polar_structure(gfq, form, form, q, f"H({n},{q * q})")
 
 
 def _coordinate_section(g, zero_positions):

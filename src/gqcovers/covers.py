@@ -335,10 +335,10 @@ def factorize_lower(pair, gamma: GeometryMorphism) -> FactorizationResult:
         raise HypothesisError(f"gamma is not a cover: {cert}")
     A, E = pair.A, pair.E
     pi = pair.pi
+    pi_cert = pair.cover_certificate
 
     e_point_perm = [-1] * E.point_count
-    for target_pt in range(E.point_count):
-        fiber = [p for p in range(A.point_count) if pi.point_map[p] == target_pt]
+    for target_pt, fiber in enumerate(pi_cert.point_fibers):
         images = {gamma.point_map[p] for p in fiber}
         if len(images) != 1:
             raise ConsistencyViolation(
@@ -347,8 +347,7 @@ def factorize_lower(pair, gamma: GeometryMorphism) -> FactorizationResult:
             )
         e_point_perm[target_pt] = images.pop()
     e_line_perm = [-1] * E.line_count
-    for target_ln in range(E.line_count):
-        fiber = [l for l in range(A.line_count) if pi.line_map[l] == target_ln]
+    for target_ln, fiber in enumerate(pi_cert.line_fibers):
         images = {gamma.line_map[l] for l in fiber}
         if len(images) != 1:
             raise ConsistencyViolation(
@@ -368,24 +367,25 @@ def factorize_lower(pair, gamma: GeometryMorphism) -> FactorizationResult:
         if e_line_perm[pi.line_map[l]] != gamma.line_map[l]:
             raise ConsistencyViolation("factorization identity fails on a line")
 
-    base_map = _base_point_map(pair, gamma)
+    base_map = _base_point_map(pair, cert)
     orientation = _orientation(pair, e_point_perm, base_map)
     return FactorizationResult(
         tuple(e_point_perm), tuple(e_line_perm), base_map, orientation
     )
 
 
-def _base_point_map(pair, gamma) -> tuple:
-    """For each rosette, all gamma-preimage lines share one subgeometry point;
-    send it to the rosette's base point.  Totality, injectivity and
-    collinearity preservation (both ways) are verified."""
+def _base_point_map(pair, gamma_cert) -> tuple:
+    """For each rosette, all gamma-preimage lines (the certificate's line
+    fiber) share one subgeometry point; send it to the rosette's base point.
+    Totality, injectivity and collinearity preservation (both ways) are
+    verified."""
     emb = pair.embedding
     amb = emb.ambient
     sub = emb.substructure
     n_sub = sub.point_count
     zeta = [-1] * n_sub
     for ridx, rosette in enumerate(pair.rosettes):
-        fiber = [l for l in range(pair.A.line_count) if gamma.line_map[l] == ridx]
+        fiber = gamma_cert.line_fibers[ridx]
         feet = set()
         for al in fiber:
             ambient_line = amb.lines[pair.ambient_of_a_line[al]]

@@ -173,9 +173,6 @@ class GF:
             raise ZeroDivisionError("inverse of 0")
         return int(self.inv_table[a])
 
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
-
     def power(self, a, e):
         if e < 0:
             return self.power(self.inv(a), -e)

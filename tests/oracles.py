@@ -7,6 +7,8 @@ library's cached matrices and optimized paths.
 
 import itertools
 
+from gqcovers.gf import field_of_order
+
 
 def brute_collinear(g, x, y):
     if x == y:
@@ -223,3 +225,86 @@ def brute_subgqs_through_line(g, infinity_line):
                         degree.get(p) == s + 1 for p in pts):
                     found[frozenset(pts)] = frozenset(lns)
     return found
+
+
+def _brute_normalize(gfq, vec):
+    lead = next(x for x in vec if x)
+    c = gfq.inv(lead)
+    return tuple(gfq.mul(c, x) for x in vec)
+
+
+def brute_polar_space(gfq, ncoords, singular, pair_ok):
+    """Points and lines of a polar space from scalar predicates: the
+    normalized projective points with singular(x), lex sorted, and the line
+    through every pair with pair_ok(x, y), found by enumerating the span
+    {a*x + b*y} and checked to lie on the variety.  Returns (points, sorted
+    lines as sorted index tuples)."""
+    pts = sorted(
+        _brute_normalize(gfq, v)
+        for v in itertools.product(gfq.elements(), repeat=ncoords)
+        if any(v) and _brute_normalize(gfq, v) == v and singular(v)
+    )
+    index = {p: i for i, p in enumerate(pts)}
+    lines = set()
+    for x, y in itertools.combinations(pts, 2):
+        if not pair_ok(x, y):
+            continue
+        span = {
+            _brute_normalize(gfq, [gfq.add(gfq.mul(a, u), gfq.mul(b, v)) for u, v in zip(x, y)])
+            for a, b in itertools.product(gfq.elements(), repeat=2)
+            if a or b
+        }
+        assert len(span) == gfq.q + 1 and span <= index.keys()
+        lines.add(tuple(sorted(index[p] for p in span)))
+    return pts, sorted(lines)
+
+
+def brute_classical_gq(family, q):
+    """(points, lines) of Q(4,q), Q(5,q), W(q) or H(n,q^2), family "Q4",
+    "Q5", "W" or "H<n>", from the scalar forms of the classical quadrangles
+    (Payne & Thas, ch. 3), written out term by term."""
+    if family == "W":
+        gfq = field_of_order(q)
+
+        def alt(x, y):
+            return gfq.add(
+                gfq.sub(gfq.mul(x[0], y[1]), gfq.mul(x[1], y[0])),
+                gfq.sub(gfq.mul(x[2], y[3]), gfq.mul(x[3], y[2])),
+            )
+
+        return brute_polar_space(gfq, 4, lambda x: True, lambda x, y: alt(x, y) == 0)
+    if family in ("Q4", "Q5"):
+        gfq = field_of_order(q)
+        if family == "Q4":
+            def qform(x):
+                return gfq.sub(gfq.sub(gfq.mul(x[0], x[0]), gfq.mul(x[1], x[2])),
+                               gfq.mul(x[3], x[4]))
+        else:
+            F = gfq.elements()
+            b, c = next(
+                (b, c) for b in F for c in F
+                if all(gfq.add(gfq.add(gfq.mul(r, r), gfq.mul(b, r)), c) for r in F)
+            )
+
+            def qform(x):
+                f = gfq.add(gfq.add(gfq.mul(x[0], x[0]), gfq.mul(b, gfq.mul(x[0], x[1]))),
+                            gfq.mul(c, gfq.mul(x[1], x[1])))
+                return gfq.add(f, gfq.add(gfq.mul(x[2], x[3]), gfq.mul(x[4], x[5])))
+
+        def polar(x, y):
+            s = tuple(gfq.add(a, b) for a, b in zip(x, y))
+            return gfq.sub(gfq.sub(qform(s), qform(x)), qform(y))
+
+        return brute_polar_space(gfq, 5 if family == "Q4" else 6,
+                                 lambda x: qform(x) == 0, lambda x, y: polar(x, y) == 0)
+    n = int(family[1:])
+    gfq = field_of_order(q * q)
+
+    def herm(x, y):
+        acc = 0
+        for a, b in zip(x, y):
+            acc = gfq.add(acc, gfq.mul(a, gfq.power(b, q)))
+        return acc
+
+    return brute_polar_space(gfq, n + 1, lambda x: herm(x, x) == 0,
+                             lambda x, y: herm(x, y) == 0)

@@ -1,7 +1,13 @@
+import hashlib
+import json
+
 import pytest
 
 from gqcovers.constructions import (
     QClanSpec,
+    _form_matrix,
+    _polar_structure,
+    build_H,
     build_grid,
     build_H4_with_H3,
     build_kantor_knuth,
@@ -14,11 +20,69 @@ from gqcovers.constructions import (
     points_coplanar,
 )
 from gqcovers.covers import find_isomorphism
-from gqcovers.errors import MissingCoordinatesError
+from gqcovers.errors import ConsistencyViolation, MissingCoordinatesError
 from gqcovers.gf import field
 from gqcovers.incidence import GQOrder, verify_gq_axioms
 
-from .oracles import rank_by_span
+from .oracles import brute_classical_gq, rank_by_span
+
+
+def _build(family, q):
+    if family.startswith("H"):
+        return build_H(int(family[1:]), q)
+    return {"Q4": build_Q4, "Q5": build_Q5, "W": build_W}[family](q)
+
+
+# sha256 of json.dumps(g.to_json_dict(), sort_keys=True) for every classical
+# quadrangle the tests and the benchmark build, taken from the scalar
+# pair-by-pair builder the form-matrix builder replaced.
+CONSTRUCTION_DIGESTS = {
+    ("Q4", 2): "a05e5a73b043a533d5f54248116f3611b35a4f797c1941daf07d6ae609956c3f",
+    ("Q4", 3): "e09bad2590b0b91b53880acb91f8f42f95af19f8078feda495db559a4db5083f",
+    ("Q4", 4): "ae04b9a41d0f434d62cc446fc0762107e09ebe39dfdaf75108f29fec9d75c866",
+    ("Q4", 5): "fa116d3256ace66ce6b90ea81e15d0924fc606ac6460ffbb7ace5ada1969ea50",
+    ("Q5", 2): "9c7ee44cdcd004280bdace3c0bf506748e59a9dec1bd6d17e35ac1ac3fc31b14",
+    ("Q5", 3): "4e6b8ecd86c5c5b577818f9f2cfdf538b1aaf74c384aa883d8ae1a2ed4d5ea92",
+    ("Q5", 4): "43a8c45293e6f4190a675c0d74151ac92c372389fcb869484767d910ac09ccf3",
+    ("Q5", 5): "c99d54b4a26e218a4a1562ee57169f10b93caffcc7a1bf6b45fb12c081f472a3",
+    ("W", 2): "4b08c8076e62f7b35ad26d570da99c6ef78e85ddf74885f33fdb619762fa1759",
+    ("W", 3): "ab9ed8c37f68c563671ed395ead0e5d7cd8d528beee2add1a5367707b480d2b0",
+    ("W", 4): "d58c486cbf21290a0afd4ea26220f254632c41129bd959785a961f4016d16f2b",
+    ("W", 5): "e5a4976ad18fe8541e7d1efbee39688b0293d58bcdc0ae5b59f1189b57554d2d",
+    ("H3", 2): "a67b6fe0b40742c5efa3d111ea736161fcce270ccb6d33e36123ee52c1371085",
+    ("H4", 2): "40f09e060948568ecc8fd377e178f2f56bd9706570dd1dc187b3ca0c95a8c0ef",
+    ("H3", 3): "9fd485f587027991d3947e6212f62e40d9d650136e52c921b8e626b03ebee285",
+}
+
+
+@pytest.mark.parametrize("family,q", list(CONSTRUCTION_DIGESTS))
+def test_construction_digest(family, q):
+    g = _build(family, q)
+    data = json.dumps(g.to_json_dict(), sort_keys=True).encode()
+    assert hashlib.sha256(data).hexdigest() == CONSTRUCTION_DIGESTS[(family, q)]
+
+
+@pytest.mark.parametrize(
+    "family,q",
+    [(f, q) for f in ("Q4", "Q5", "W") for q in (2, 3, 4)] + [("H3", 2), ("H4", 2)],
+)
+def test_polar_builder_against_oracle(family, q):
+    g = _build(family, q)
+    points, lines = brute_classical_gq(family, q)
+    assert g.coords == tuple(points)
+    assert list(g.lines) == lines
+
+
+def test_polar_builder_checks_lines_stay_on_variety():
+    """With polar = form (not symmetrized) some orthogonal pairs of Q(4,3)
+    span a line off the quadric; the builder must refuse, not assert."""
+    gfq = field(3)
+    m = gfq.neg(1)
+    form = _form_matrix(5, {(0, 0): 1, (1, 2): m, (3, 4): m})
+    with pytest.raises(ConsistencyViolation, match="leaves the variety"):
+        _polar_structure(gfq, form, form, 1, "bad")
+    polar = gfq.add_table[form, form.T]
+    assert _polar_structure(gfq, form, polar, 1, "Q(4,3)").line_count == 40
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import re
 
@@ -20,7 +21,7 @@ from gqcovers.covers import (
     verify_initial_object,
     verify_morphism,
 )
-from gqcovers.errors import BudgetExceeded, HypothesisError
+from gqcovers.errors import BudgetExceeded, ConsistencyViolation, HypothesisError
 from gqcovers.incidence import IncidenceStructure
 
 from .oracles import brute_covers
@@ -97,6 +98,17 @@ def test_factorize_canonical_is_identity(pair_q2):
     assert f.e_line_perm == tuple(range(15))
     assert f.base_point_map == tuple(range(15))
     assert f.orientation == "direct"
+
+
+def test_factorize_checks_whole_certificate_fibers(pair_q2):
+    """The fibers are read from the projection's certificate; a certificate
+    whose fibers disagree with pi is refused, not trusted."""
+    cert = pair_q2.cover_certificate
+    fibers = [list(f) for f in cert.point_fibers]
+    fibers[0][-1], fibers[1][-1] = fibers[1][-1], fibers[0][-1]
+    forged = dataclasses.replace(cert, point_fibers=tuple(map(tuple, fibers)))
+    with pytest.raises(ConsistencyViolation, match="not well defined"):
+        factorize_lower(dataclasses.replace(pair_q2, cover_certificate=forged), pair_q2.pi)
 
 
 def test_factorize_recovers_sampled_automorphism(pair_q3):
