@@ -5,8 +5,10 @@ The group search is individualization-refinement backtracking on the colored
 bipartite incidence graph (points and lines are never mixed): splitter-queue
 equitable refinement, first-leaf comparison for candidate automorphisms,
 orbit pruning along the first path and subtree abandonment after a success
-off it.  Groups are stored as generators plus a deterministic Schreier-Sims
-stabilizer chain.
+off it (McKay and Piperno, Practical graph isomorphism II).  It is the one
+group search: the stabilizer of a vertex set, or of a family of them, is
+found on the same graph with one marker vertex per set.  Groups are stored
+as generators plus a deterministic Schreier-Sims stabilizer chain.
 """
 
 from __future__ import annotations
@@ -134,6 +136,8 @@ class PermutationGroup:
     transparently correct, and fast enough at degree <= a few hundred.
     """
 
+    geometry = None  # the structure, for a group from automorphism_group
+
     def __init__(self, degree, generators, base_prefix=()):
         self.degree = degree
         seen = set()
@@ -232,22 +236,8 @@ class PermutationGroup:
             return False
         return is_identity(self._sift_levels(perm))
 
-    @property
-    def base(self):
-        return tuple(b for b, _g, _t in self._levels)
-
     def orbit(self, x):
         return _orbit(self.generators, x)
-
-    def orbits(self):
-        left = set(range(self.degree))
-        out = []
-        while left:
-            x = min(left)
-            orb = self.orbit(x)
-            out.append(sorted(orb))
-            left -= orb
-        return out
 
     def elements(self, cap=10_000):
         if self.order() > cap:
@@ -258,14 +248,6 @@ class PermutationGroup:
         assert len(set(out)) == self.order()
         return out
 
-    def stabilizer_suffix(self, k):
-        """Pointwise stabilizer of the first k base points, generated by the
-        strong generators fixing them (valid because the strong set is a
-        strong generating set relative to the base)."""
-        prefix = self._base[:k]
-        gens = [g for g in self._strong if all(g[b] == b for b in prefix)]
-        return PermutationGroup(self.degree, gens)
-
     def random_element(self, rng):
         g = identity_perm(self.degree)
         for _b, _gens, transversal in reversed(self._levels):
@@ -275,49 +257,35 @@ class PermutationGroup:
 
 
 def pointwise_stabilizer(group: PermutationGroup, points) -> PermutationGroup:
-    """Subgroup fixing every listed domain point, via a chain rebuilt with
-    those points as base prefix."""
+    """Subgroup fixing every listed domain point: the strong generators
+    fixing them, once the chain is rebuilt with those points as base prefix
+    (a strong generating set relative to the base)."""
     prefix = tuple(points)
     rebased = PermutationGroup(group.degree, group.generators, base_prefix=prefix)
     assert rebased.order() == group.order()
-    return rebased.stabilizer_suffix(len(prefix))
+    gens = [g for g in rebased._strong if all(g[b] == b for b in prefix)]
+    return PermutationGroup(group.degree, gens)
 
 
-def setwise_stabilizer(group: PermutationGroup, subset, *, leaf_budget=2_000_000):
-    """Subgroup preserving the subset, by chain backtracking with the subset
-    points promoted to the front of the base (every element of the stabilizer
-    is visited; pruning only discards provably bad branches).  A leaf becomes
-    a generator only if it does not sift into the group found so far, so each
-    one at least doubles it: at most log2 |stabilizer| generators."""
-    subset = frozenset(subset)
-    if not subset or subset == frozenset(range(group.degree)):
-        return PermutationGroup(group.degree, group.generators)
-    prefix = tuple(sorted(subset))
-    G = PermutationGroup(group.degree, group.generators, base_prefix=prefix)
-    levels = G._levels
-    found = PermutationGroup(group.degree, [])
-    leaves = 0
-
-    def dfs(i, current):
-        nonlocal leaves, found
-        if i == len(levels):
-            leaves += 1
-            if leaves > leaf_budget:
-                raise BudgetExceeded("setwise stabilizer search exceeded its budget")
-            if all(
-                (current[x] in subset) == (x in subset) for x in range(group.degree)
-            ) and not found.contains(current):
-                found = PermutationGroup(group.degree, found.generators + [current])
-            return
-        base, _gens, transversal = levels[i]
-        for x in sorted(transversal):
-            final = current[x]
-            if (base in subset) != (final in subset):
-                continue
-            dfs(i + 1, compose(transversal[x], current))
-
-    dfs(0, identity_perm(group.degree))
-    return found
+def setwise_stabilizer(group: PermutationGroup, subset) -> PermutationGroup:
+    """Subgroup mapping a set of domain indices (lines offset by the point
+    count) onto itself, found as the automorphisms of `group.geometry` that
+    preserve the set.  Every generator must lie in `group`, which certifies
+    the result as the stabilizer in `group`; one outside it means `group` is
+    not the full automorphism group, and HypothesisError is raised."""
+    g = group.geometry
+    if g is None:
+        raise HypothesisError("setwise stabilizers need a group from automorphism_group")
+    subset = set(subset)
+    if any(not 0 <= x < group.degree for x in subset):
+        raise ValueError(f"subset index outside the domain 0..{group.degree - 1}")
+    gens = [p[:group.degree] for p in _family_automorphisms(g, [subset])]
+    if not all(group.contains(p) for p in gens):
+        raise HypothesisError(
+            "the setwise stabilizer leaves the group, which is not the full "
+            "automorphism group of its geometry"
+        )
+    return PermutationGroup(group.degree, gens)
 
 
 # -- automorphism search on colored graphs --------------------------------------------
@@ -488,11 +456,13 @@ def graph_automorphisms(adj, colors, *, node_budget=500_000):
     return gens
 
 
-def _structure_graph(g, extra_vertex_sets=None):
-    """Colored graph of a structure: points, then lines, then one vertex per
-    extra point set (hyperedges used for setwise stabilizers)."""
+def _structure_graph(g, extra_vertex_sets=()):
+    """Colored graph of a structure: points, then lines, then one marker
+    vertex per extra vertex set, adjacent to the set's members (domain
+    indices, lines offset by the point count).  The markers share one color,
+    so an automorphism of the graph permutes the sets among themselves."""
     n, m = g.point_count, g.line_count
-    extra = [tuple(sorted(s)) for s in (extra_vertex_sets or [])]
+    extra = [tuple(sorted(s)) for s in extra_vertex_sets]
     total = n + m + len(extra)
     adj = [[] for _ in range(total)]
     for li, line in enumerate(g.lines):
@@ -513,15 +483,19 @@ def _structure_graph(g, extra_vertex_sets=None):
     return adj, colors
 
 
-def automorphism_group(g, *, max_points=200, node_budget=500_000):
+def _family_automorphisms(g, vertex_sets, *, node_budget=500_000):
+    """Generators of the automorphisms of g that permute the given vertex
+    sets among themselves (a single set is mapped onto itself), as
+    permutations of points, lines, then the sets."""
+    adj, colors = _structure_graph(g, vertex_sets)
+    return graph_automorphisms(adj, colors, node_budget=node_budget)
+
+
+def automorphism_group(g, *, node_budget=500_000):
     """Full automorphism group of an incidence structure as a permutation
-    group on points plus lines, with the geometry-level generators attached."""
-    if g.point_count > max_points:
-        raise BudgetExceeded(
-            f"{g.point_count} points exceeds the full-group budget {max_points}"
-        )
-    adj, colors = _structure_graph(g)
-    raw = graph_automorphisms(adj, colors, node_budget=node_budget)
+    group on points plus lines, with the geometry-level generators attached;
+    the node budget alone bounds the search."""
+    raw = _family_automorphisms(g, (), node_budget=node_budget)
     perms = [Permutation.from_domain_perm(g, r) for r in raw]
     group = PermutationGroup(g.point_count + g.line_count, raw)
     group.geometry = g
@@ -603,8 +577,7 @@ def induced_action_on_derived(group: PermutationGroup, pair) -> InducedActionRep
             tuple(opoints) + tuple(len(pair.ovoids) + l for l in olines)
         )
     e_group = PermutationGroup(pair.E.point_count + pair.E.line_count, e_perm_gens)
-    kernel = elementwise_kernel(group, emb)
-    korder = kernel.order()
+    korder = sub_report.kernel_order
     faithful = e_group.order() * korder == group.order()
     return InducedActionReport(e_group, korder, faithful)
 
@@ -645,9 +618,9 @@ def compare_derived_automorphisms(pair, *, allow_any_theta=False, node_budget=50
     )
 
     sub = emb.substructure
-    ovoid_sets = [tuple(sorted(ov.points)) for ov in pair.ovoids]
-    adj, colors = _structure_graph(sub, extra_vertex_sets=ovoid_sets)
-    raw = graph_automorphisms(adj, colors, node_budget=node_budget)
+    raw = _family_automorphisms(
+        sub, [ov.points for ov in pair.ovoids], node_budget=node_budget
+    )
     offset = sub.point_count + sub.line_count
     stab_on_omega = PermutationGroup(
         n_omega, [tuple(g[offset + k] - offset for k in range(n_omega)) for g in raw]
@@ -716,7 +689,7 @@ def extend_automorphism(emb, phi: Permutation, mode="find_all", *, node_budget=2
 
     kernel_order = None
     if compute_kernel:
-        if _is_sub_identity(phi):
+        if is_identity(phi.point_images) and is_identity(phi.line_images):
             kernel_order = len(solutions) if mode == "find_all" else None
         else:
             ident = extend_automorphism(
@@ -734,10 +707,6 @@ def extend_automorphism(emb, phi: Permutation, mode="find_all", *, node_budget=2
             f"{len(solutions)} extensions found, expected 0 or {kernel_order}"
         )
     return ExtensionReport(phi, solutions, kernel_order)
-
-
-def _is_sub_identity(phi):
-    return is_identity(phi.point_images) and is_identity(phi.line_images)
 
 
 # -- higher decomposition ---------------------------------------------------------------
@@ -780,7 +749,8 @@ def higher_decomposition_check(pair, cover=None, *, node_budget=2_000_000) -> Hi
             raise ConsistencyViolation(
                 "verdict true but the supplied cover's automorphism would not lift"
             )
-        _verify_projection_identity(pair, cover_lift, cover)
+        if not _projection_matches(pair, cover_lift, cover):
+            raise ConsistencyViolation("projection-after-witness differs from the cover")
     return HigherDecompositionReport(verdict, len(e_group.geometry_generators),
                                      lifted, cover_lift)
 
@@ -821,8 +791,3 @@ def _projection_matches(pair, ambient_perm: Permutation, gamma) -> bool:
         if pair.pi.line_map[a_img] != gamma.line_map[a_ln]:
             return False
     return True
-
-
-def _verify_projection_identity(pair, ambient_perm, cover):
-    if not _projection_matches(pair, ambient_perm, cover):
-        raise ConsistencyViolation("projection-after-witness differs from the cover")

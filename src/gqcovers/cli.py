@@ -31,7 +31,6 @@ from .constructions import (
     QClanSpec,
     build_grid,
     build_kantor_knuth,
-    build_Q5_with_Q3,
 )
 from .errors import BudgetExceeded
 from .incidence import (
@@ -273,8 +272,29 @@ def cmd_transversal_config(args):
     return 0 if ok else 1
 
 
+def _stabilize_domain(g, subset):
+    """Domain indices (lines offset by the point count) of a subset given as
+    {"points": [...], "lines": [...]}; any other shape, or an index that is
+    not one of g, exits."""
+    if not isinstance(subset, dict) or not all(
+            isinstance(subset.get(key, []), list) for key in ("points", "lines")):
+        raise SystemExit('--stabilize: the subset must be {"points": [...], "lines": [...]}')
+    domain = set()
+    for key, offset, count in (("points", 0, g.point_count),
+                               ("lines", g.point_count, g.line_count)):
+        for x in subset.get(key, []):
+            if type(x) is not int or not 0 <= x < count:
+                raise SystemExit(f'--stabilize: "{key}" holds {x!r}, '
+                                 f'not an integer in 0..{count - 1}')
+            domain.add(offset + x)
+    return domain
+
+
 def cmd_aut(args):
     g = IncidenceStructure.load(args.geometry)
+    if args.stabilize:
+        with open(args.stabilize) as fh:
+            domain = _stabilize_domain(g, json.load(fh))
     group = automorphism_group(g, node_budget=args.budget or 500_000)
     payload = {
         "verdict": "pass",
@@ -282,13 +302,7 @@ def cmd_aut(args):
         "generators": [p.to_json_dict() for p in group.geometry_generators],
     }
     if args.stabilize:
-        with open(args.stabilize) as fh:
-            subset = json.load(fh)
-        domain = set(subset.get("points", [])) | {
-            g.point_count + li for li in subset.get("lines", [])
-        }
-        stab = setwise_stabilizer(group, domain)
-        payload["stabilizer_order"] = stab.order()
+        payload["stabilizer_order"] = setwise_stabilizer(group, domain).order()
     _write_report(args.out, payload)
     return 0
 
@@ -553,9 +567,18 @@ def _suite_lower_q3(check, *, seed, budget, no_build, cache):
 
 
 def _suite_spg_all(check, *, seed, budget, no_build, cache):
+    # (builder, q) -> embedding, so that each section is built once per run
+    sections = {}
+
+    def section(builder, q):
+        if (builder, q) not in sections:
+            sections[builder, q] = getattr(constructions, builder)(q)[1]
+        return sections[builder, q]
+
     for (builder, q), params in SPG_TABLE.items():
         family = FAMILY_OF_BUILDER[builder]
         amb, emb = construct_cached(family, q, cache=cache, no_build=no_build)
+        sections[builder, q] = emb
 
         def one(amb=amb, emb=emb, key=(builder, q), params=params):
             assert _sizes(amb, emb) == SECTION_TABLE[key][0]
@@ -572,7 +595,7 @@ def _suite_spg_all(check, *, seed, budget, no_build, cache):
 
     def gate_fails():
         for q in (2, 3):
-            _a, e = build_Q5_with_Q3(q)
+            e = section("build_Q5_with_Q3", q)
             gate = hypothesis_gate(e, theta_census(e))
             assert not gate.passes
         return "grid embeddings fail the hypothesis gate"
@@ -581,8 +604,7 @@ def _suite_spg_all(check, *, seed, budget, no_build, cache):
 
     def census_table():
         for (name, q), theta in THETA_TABLE.items():
-            _a, e = getattr(constructions, name)(q)
-            c = theta_census(e)
+            c = theta_census(section(name, q))
             assert c.uniform and c.theta == theta, (name, q, c.counts)
         return "all eight censuses uniform with the expected multiplicity"
 

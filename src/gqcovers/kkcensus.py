@@ -61,9 +61,10 @@ class ClosureReport:
 
 def _closure_masks(g, seed_points, seed_lines, line_pts, point_lns, max_points=None):
     """Boolean masks of the smallest full line-closed subgeometry containing
-    the seeds, or None once it exceeds max_points.  A running count of the
-    member points on every line finds the lines that gain a second point, and
-    a mark array over the points collects their new points."""
+    the seeds.  Each round adds the lines that gain a second point, found by
+    a running count of the member points on every line, and their new points,
+    collected in a mark array.  Once the points exceed max_points it raises
+    BudgetExceeded with the points and lines reached and the round."""
     pts = np.zeros(g.point_count, dtype=bool)
     lns = np.zeros(g.line_count, dtype=bool)
     seed_lines = np.asarray(seed_lines, dtype=np.int64)
@@ -72,9 +73,14 @@ def _closure_masks(g, seed_points, seed_lines, line_pts, point_lns, max_points=N
     lns[seed_lines] = True
     on_line = np.zeros(g.line_count, dtype=np.int64)
     frontier = np.flatnonzero(pts)
+    rounds = 0
     while frontier.size:
         if max_points is not None and int(pts.sum()) > max_points:
-            return None, None
+            raise BudgetExceeded(
+                f"closure exceeded {max_points} points: {int(pts.sum())} points and "
+                f"{int(lns.sum())} lines reached at closure round {rounds}"
+            )
+        rounds += 1
         on_line += np.bincount(point_lns[frontier].ravel(), minlength=g.line_count)
         newly = np.flatnonzero((on_line >= 2) & ~lns)
         if newly.size == 0:
@@ -89,12 +95,11 @@ def _closure_masks(g, seed_points, seed_lines, line_pts, point_lns, max_points=N
 
 def span_closure(g, seed_points=(), seed_lines=(), *, max_points=None) -> ClosureReport:
     """Close a seed under taking full lines and joining lines of collinear
-    point pairs; budget overrun raises."""
+    point pairs; past max_points it raises BudgetExceeded, reporting how far
+    the closure got."""
     line_pts = g.line_points_array
     point_lns = _point_lines_array(g)
     pts, lns = _closure_masks(g, seed_points, seed_lines, line_pts, point_lns, max_points)
-    if pts is None:
-        raise BudgetExceeded(f"closure exceeded {max_points} points")
     npts, nlns = int(pts.sum()), int(lns.sum())
     proper = npts < g.point_count
     emb = None
@@ -165,7 +170,10 @@ def enumerate_subgqs_through_line(
                 f"enumeration exceeded {closure_budget} closures; partial results "
                 "are checkpointed and not authoritative"
             )
-        return _closure_masks(g, seed_pts, seed_lns, line_pts, point_lns, target_pts)
+        try:
+            return _closure_masks(g, seed_pts, seed_lns, line_pts, point_lns, target_pts)
+        except BudgetExceeded:
+            return None, None
 
     ck_handle = open(ck_path, "a") if ck_path else None
 

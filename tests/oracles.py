@@ -155,6 +155,14 @@ def brute_automorphism_count(g):
     return count
 
 
+def brute_setwise_stabilizer(group, subset):
+    """The elements of the group, listed in full, that map the subset of its
+    domain onto itself."""
+    subset = set(subset)
+    return [el for el in group.elements(cap=group.order())
+            if {el[x] for x in subset} == subset]
+
+
 def brute_is_equitable(adj, cells):
     """Every vertex of a cell has the same number of neighbours in each cell."""
     for other in cells:

@@ -21,12 +21,23 @@ from gqcovers.autgroup import (
     pointwise_stabilizer,
     setwise_stabilizer,
 )
-from gqcovers.constructions import build_grid, build_Q4, build_Q4_with_Q3
+from gqcovers.constructions import build_grid, build_Q4, build_Q4_with_Q3, build_Q5_with_Q4
 from gqcovers.covers import _morphism_search
 from gqcovers.errors import BudgetExceeded, HypothesisError
 from gqcovers.incidence import IncidenceStructure
+from gqcovers.subtension import build_derived_pair
 
-from .oracles import brute_automorphism_count, brute_is_equitable, brute_refines
+from .oracles import (
+    brute_automorphism_count,
+    brute_is_equitable,
+    brute_refines,
+    brute_setwise_stabilizer,
+)
+
+
+def _section_domain(amb, emb):
+    """Domain indices of the section's points and lines."""
+    return set(emb.point_subset) | {amb.point_count + li for li in emb.line_subset}
 
 
 def test_permutation_validation(grid2):
@@ -97,8 +108,7 @@ def test_kernel_and_stabilizer(q5q4_2):
     assert G.order() == 51840
     ker = elementwise_kernel(G, emb)
     assert ker.order() == 2
-    domain = set(emb.point_subset) | {amb.point_count + li for li in emb.line_subset}
-    stab = setwise_stabilizer(G, domain)
+    stab = setwise_stabilizer(G, _section_domain(amb, emb))
     assert stab.order() == 1440
     act = induced_action_on_sub(stab, emb)
     assert act.group.order() == 720  # the whole Aut(Q(4,2))
@@ -108,13 +118,52 @@ def test_kernel_and_stabilizer(q5q4_2):
 def test_stabilizer_of_empty_set_is_group(q4_2):
     G = automorphism_group(q4_2)
     assert setwise_stabilizer(G, set()).order() == G.order()
+    assert setwise_stabilizer(G, range(G.degree)).order() == G.order()
+
+
+def _check_stabilizer_against_oracle(G, subset, order):
+    oracle = brute_setwise_stabilizer(G, subset)
+    stab = setwise_stabilizer(G, subset)
+    assert len(oracle) == stab.order() == order
+    assert all(stab.contains(el) for el in oracle)
+
+
+@pytest.mark.parametrize(
+    "build,order",
+    [(lambda: build_Q5_with_Q4(2), 1440), (lambda: build_Q4_with_Q3(3), 1152)],
+    ids=["Q4_2-in-Q5_2", "grid3-in-Q4_3"],
+)
+def test_section_stabilizer_against_oracle(build, order):
+    amb, emb = build()
+    _check_stabilizer_against_oracle(automorphism_group(amb), _section_domain(amb, emb), order)
+
+
+def test_small_stabilizers_against_oracle(q4_2):
+    G = automorphism_group(q4_2)
+    n = q4_2.point_count
+    perp = {y for line in q4_2.point_lines[0] for y in q4_2.lines[line]}
+    for subset in ({0}, {n}, perp, set(q4_2.lines[0]) | {n}):
+        _check_stabilizer_against_oracle(G, subset, 48)
+
+
+def test_stabilizer_needs_the_full_group(q4_2):
+    G = automorphism_group(q4_2)
+    H = pointwise_stabilizer(G, [0])
+    with pytest.raises(HypothesisError):
+        setwise_stabilizer(H, set())  # no geometry attached
+    H.geometry = q4_2
+    with pytest.raises(HypothesisError):
+        setwise_stabilizer(H, set())  # Aut(Q(4,2)) leaves the point stabilizer
+    assert setwise_stabilizer(H, {0}).order() == 48  # Stab({0}) lies inside H
+    for bad in ({-1}, {G.degree}):
+        with pytest.raises(ValueError):
+            setwise_stabilizer(G, bad)
 
 
 def test_induced_action_on_derived(pair_q2, q5q4_2):
     amb, emb = q5q4_2
     G = automorphism_group(amb)
-    domain = set(emb.point_subset) | {amb.point_count + li for li in emb.line_subset}
-    stab = setwise_stabilizer(G, domain)
+    stab = setwise_stabilizer(G, _section_domain(amb, emb))
     act = induced_action_on_derived(stab, pair_q2)
     assert act.group.order() == stab.order() // 2  # kernel of order 2
     assert act.kernel_order == 2 and act.faithful_modulo_kernel
@@ -207,10 +256,19 @@ def test_elements_listing_cap(q4_2):
         G.elements(cap=100)
 
 
-def test_full_group_budget(q5q4_3):
+def test_full_group_node_budget(q5q4_3):
     amb, _emb = q5q4_3
-    with pytest.raises(BudgetExceeded):
-        automorphism_group(amb, max_points=100)
+    with pytest.raises(BudgetExceeded, match="exceeded 50 nodes: visited 51"):
+        automorphism_group(amb, node_budget=50)
+
+
+@pytest.mark.slow
+def test_derived_group_order_q5():
+    """No point cap: Aut(E) of the q = 5 pair, on 300 points, has the order
+    of Aut(Q(4,5))."""
+    pair = build_derived_pair(build_Q5_with_Q4(5)[1])
+    assert pair.E.point_count == 300
+    assert automorphism_group(pair.E).order() == 9_360_000
 
 
 def test_node_budget_reports_progress(q4_2):
@@ -288,15 +346,13 @@ def test_refinement_equitable_on_random_graphs():
                 assert brute_refines(child, _cells(part))
 
 
-@pytest.mark.slow
 def test_grid4_stabilizer_image_order():
     """Full-group route for the s=4 case: the grid stabilizer in Aut(Q(4,4))
     induces an image of order 14400 = (s+1)^2 s^2 (s-1)^2 * 2h < 28800."""
     amb, emb = build_Q4_with_Q3(4)
     G = automorphism_group(amb, node_budget=2_000_000)
     assert G.order() == 1958400
-    domain = set(emb.point_subset) | {amb.point_count + li for li in emb.line_subset}
-    stab = setwise_stabilizer(G, domain)
+    stab = setwise_stabilizer(G, _section_domain(amb, emb))
     act = induced_action_on_sub(stab, emb)
     assert act.group.order() == 14400 < 28800
     assert act.kernel_order == 1  # even characteristic: no elementwise fixer

@@ -178,3 +178,24 @@ def test_aut_stabilize_cli(workdir, capsys):
     assert run(["aut", "--geometry", "g.json", "--stabilize", "subset.json"]) == 0
     out = _json.loads(capsys.readouterr().out)
     assert out["order"] == 51840 and out["stabilizer_order"] == 1440
+
+
+@pytest.mark.parametrize(
+    "subset,message",
+    [({"points": [99]}, '"points" holds 99, not an integer in 0..14'),
+     ({"lines": [-1]}, '"lines" holds -1, not an integer in 0..14'),
+     ({"points": [1.0]}, '"points" holds 1.0, not an integer'),
+     ([0, 1], "the subset must be"),
+     ({"lines": 3}, "the subset must be")],
+    ids=["point-out-of-range", "negative-line", "float-point", "list", "bare-index"],
+)
+def test_aut_stabilize_rejects_bad_indices(workdir, capsys, subset, message):
+    """Index 99 used to crash with an IndexError, and line -1 aliased to the
+    last point and passed with stabilizer order 2."""
+    assert run(["construct", "--family", "q4", "--q", "2", "--out", "q4.json"]) == 0
+    with open("bad-subset.json", "w") as fh:
+        json.dump(subset, fh)
+    capsys.readouterr()
+    with pytest.raises(SystemExit, match=message):
+        run(["aut", "--geometry", "q4.json", "--stabilize", "bad-subset.json"])
+    assert capsys.readouterr().out == ""

@@ -38,9 +38,13 @@ def test_closure_of_section_is_itself(q5q4_2):
 
 def test_closure_budget(q5q4_2):
     amb, _emb = q5q4_2
-    # two points plus a full pencil forces growth beyond two points
-    with pytest.raises(BudgetExceeded):
+    # six seed points already overrun four; their closure is a 9-point grid,
+    # which overruns six at the first round with 8 points on 4 lines
+    with pytest.raises(BudgetExceeded, match="6 points and 0 lines reached at closure round 0"):
         span_closure(amb, seed_points=range(6), max_points=4)
+    with pytest.raises(BudgetExceeded, match="8 points and 4 lines reached at closure round 1"):
+        span_closure(amb, seed_points=range(6), max_points=6)
+    assert span_closure(amb, seed_points=range(6), max_points=9).point_count == 9
 
 
 def test_closure_against_oracle(q5q4_2, kk3):
