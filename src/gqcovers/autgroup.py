@@ -8,7 +8,9 @@ orbit pruning along the first path and subtree abandonment after a success
 off it (McKay and Piperno, Practical graph isomorphism II).  It is the one
 group search: the stabilizer of a vertex set, or of a family of them, is
 found on the same graph with one marker vertex per set.  Groups are stored
-as generators plus a deterministic Schreier-Sims stabilizer chain.
+as generators plus a stabilizer chain, built by incremental Schreier-Sims
+on the search's first-path base; every Schreier generator is still sifted,
+so the chain takes nothing on trust from the search.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ def identity_perm(n):
 
 def compose(p, q):
     """Apply p first, then q."""
-    return tuple(q[x] for x in p)
+    return tuple(map(q.__getitem__, p))
 
 
 def inverse(p):
@@ -39,7 +41,7 @@ def inverse(p):
 
 
 def is_identity(p):
-    return all(i == x for i, x in enumerate(p))
+    return tuple(p) == identity_perm(len(p))
 
 
 def _orbit(gens, x):
@@ -130,103 +132,94 @@ class Permutation:
 class PermutationGroup:
     """Generators plus a stabilizer chain.
 
-    Classical Schreier-Sims with full reverification: whenever a Schreier
-    generator fails to sift to the identity its residue joins the strong set
-    and the whole chain is rebuilt.  Slower than the incremental variants but
-    transparently correct, and fast enough at degree <= a few hundred.
+    Deterministic incremental Schreier-Sims (Seress, Permutation Group
+    Algorithms, ch. 4).  The base starts with `base_prefix`.  Each generator
+    is sifted into the chain; then the levels are completed from the
+    deepest up, a level being complete when every Schreier generator of its
+    orbit sifts to the identity through the levels below it.  A non-trivial
+    residue becomes a strong generator at each level down to the one it
+    drops out at, and one fixing every base point opens a new level at the
+    first point it moves.  Each level is (base point, strong generators,
+    transversal, inverses): the transversal maps each orbit point x to an
+    element taking the base point to x, whose inverse is stored once.
     """
 
     geometry = None  # the structure, for a group from automorphism_group
 
     def __init__(self, degree, generators, base_prefix=()):
         self.degree = degree
-        seen = set()
-        self.generators = []
-        for g in generators:
-            g = tuple(g)
-            if sorted(g) != list(range(degree)):
-                raise ValueError("generator is not a permutation of the domain")
-            if not is_identity(g) and g not in seen:
-                seen.add(g)
-                self.generators.append(g)
-        self._base = list(base_prefix)
-        self._strong = list(self.generators)
-        self._levels = []  # (base_point, level_gens, transversal)
-        self._schreier_sims()
+        gens = [tuple(g) for g in generators]
+        if any(sorted(g) != list(range(degree)) for g in gens):
+            raise ValueError("generator is not a permutation of the domain")
+        self.generators = [g for g in dict.fromkeys(gens) if not is_identity(g)]
+        self._levels = []
+        for b in dict.fromkeys(base_prefix):
+            self._open_level(b)
+        for g in self.generators:
+            residue, drop = self._sift(g)
+            if not is_identity(residue):
+                self._add_strong(residue, 0, drop)
+        i = len(self._levels) - 1
+        while i >= 0:
+            found = self._schreier_residue(i)
+            if found is None:
+                i -= 1
+            else:
+                self._add_strong(found[0], i + 1, found[1])
+                i = found[1]
 
     # chain construction ----------------------------------------------------
 
-    def _ensure_base_coverage(self, g):
-        if all(g[b] == b for b in self._base):
-            for i, x in enumerate(g):
-                if x != i:
-                    self._base.append(i)
-                    return
+    def _open_level(self, b):
+        ident = identity_perm(self.degree)
+        self._levels.append((b, [], {b: ident}, {b: ident}))
 
-    def _rebuild_levels(self):
-        self._levels = []
-        for i, b in enumerate(self._base):
-            prefix = self._base[:i]
-            level_gens = [
-                g for g in self._strong if all(g[bb] == bb for bb in prefix)
-            ]
-            transversal = {b: identity_perm(self.degree)}
-            queue = [b]
-            head = 0
-            while head < len(queue):
-                x = queue[head]
-                head += 1
-                tx = transversal[x]
-                for g in level_gens:
-                    y = g[x]
-                    if y not in transversal:
-                        transversal[y] = compose(tx, g)
-                        queue.append(y)
-            self._levels.append((b, level_gens, transversal))
-
-    def _sift_levels(self, perm, start=0):
+    def _sift(self, perm, start=0):
+        """Residue of perm sifted through the levels from `start` on, and the
+        level it drops out at (the level count if it passes them all)."""
         for i in range(start, len(self._levels)):
-            b, _gens, transversal = self._levels[i]
+            b, _gens, _transversal, inverses = self._levels[i]
             x = perm[b]
-            if x == b:
-                continue
-            if x not in transversal:
-                return perm
-            perm = compose(perm, inverse(transversal[x]))
-        return perm
+            if x != b:
+                if x not in inverses:
+                    return perm, i
+                perm = compose(perm, inverses[x])
+        return perm, len(self._levels)
 
-    def _schreier_sims(self):
-        for g in self._strong:
-            self._ensure_base_coverage(g)
-        while True:
-            self._rebuild_levels()
-            residue = None
-            for i, (b, level_gens, transversal) in enumerate(self._levels):
-                for x in sorted(transversal):
-                    tx = transversal[x]
-                    for s in level_gens:
-                        y = s[x]
-                        schreier = compose(compose(tx, s), inverse(transversal[y]))
-                        if is_identity(schreier):
-                            continue
-                        r = self._sift_levels(schreier, i + 1)
-                        if not is_identity(r):
-                            residue = r
-                            break
-                    if residue:
-                        break
-                if residue:
-                    break
-            if residue is None:
-                return
-            self._ensure_base_coverage(residue)
-            self._strong.append(residue)
+    def _add_strong(self, h, first, last):
+        """Make h, which fixes the base points above level `last`, a strong
+        generator of levels first..last, and extend their orbits."""
+        if last == len(self._levels):
+            self._open_level(next(i for i, x in enumerate(h) if x != i))
+        for _b, gens, transversal, inverses in self._levels[first:last + 1]:
+            gens.append(h)
+            queue = list(transversal)
+            for x in queue:
+                for s in gens:
+                    y = s[x]
+                    if y not in transversal:
+                        transversal[y] = t = compose(transversal[x], s)
+                        inverses[y] = inverse(t)
+                        queue.append(y)
+
+    def _schreier_residue(self, i):
+        """(residue, drop level) of the first Schreier generator of level i
+        that does not sift to the identity through the levels below, or None."""
+        _b, gens, transversal, inverses = self._levels[i]
+        for x, tx in transversal.items():
+            for s in gens:
+                t = compose(tx, s)
+                if t != transversal[s[x]]:
+                    residue, drop = self._sift(compose(t, inverses[s[x]]), i + 1)
+                    if not is_identity(residue):
+                        return residue, drop
+        return None
 
     # queries -----------------------------------------------------------------
 
     def order(self):
         n = 1
-        for _b, _g, transversal in self._levels:
+        for _b, _gens, transversal, _inverses in self._levels:
             n *= len(transversal)
         return n
 
@@ -234,7 +227,7 @@ class PermutationGroup:
         perm = tuple(perm)
         if sorted(perm) != list(range(self.degree)):
             return False
-        return is_identity(self._sift_levels(perm))
+        return is_identity(self._sift(perm)[0])
 
     def orbit(self, x):
         return _orbit(self.generators, x)
@@ -243,28 +236,33 @@ class PermutationGroup:
         if self.order() > cap:
             raise BudgetExceeded(f"refusing to list {self.order()} > {cap} elements")
         out = [identity_perm(self.degree)]
-        for _b, _g, transversal in reversed(self._levels):
+        for _b, _gens, transversal, _inverses in reversed(self._levels):
             out = [compose(h, t) for t in transversal.values() for h in out]
-        assert len(set(out)) == self.order()
+        if len(set(out)) != self.order():
+            raise ConsistencyViolation("the chain's coset products are not distinct")
         return out
 
     def random_element(self, rng):
         g = identity_perm(self.degree)
-        for _b, _gens, transversal in reversed(self._levels):
+        for _b, _gens, transversal, _inverses in reversed(self._levels):
             reps = sorted(transversal)
             g = compose(g, transversal[reps[rng.randrange(len(reps))]])
         return g
 
 
 def pointwise_stabilizer(group: PermutationGroup, points) -> PermutationGroup:
-    """Subgroup fixing every listed domain point: the strong generators
-    fixing them, once the chain is rebuilt with those points as base prefix
-    (a strong generating set relative to the base)."""
-    prefix = tuple(points)
+    """Subgroup fixing every listed domain point: the strong generators of
+    the level below them, once the chain is rebuilt with those points as
+    base prefix."""
+    prefix = tuple(dict.fromkeys(points))
     rebased = PermutationGroup(group.degree, group.generators, base_prefix=prefix)
-    assert rebased.order() == group.order()
-    gens = [g for g in rebased._strong if all(g[b] == b for b in prefix)]
-    return PermutationGroup(group.degree, gens)
+    if rebased.order() != group.order():
+        raise ConsistencyViolation(
+            f"rebasing changed the group order: {rebased.order()} != {group.order()}"
+        )
+    below = rebased._levels[len(prefix):]  # (base point, strong generators, ...)
+    gens = below[0][1] if below else []
+    return PermutationGroup(group.degree, gens, base_prefix=[lv[0] for lv in below])
 
 
 def setwise_stabilizer(group: PermutationGroup, subset) -> PermutationGroup:
@@ -279,13 +277,14 @@ def setwise_stabilizer(group: PermutationGroup, subset) -> PermutationGroup:
     subset = set(subset)
     if any(not 0 <= x < group.degree for x in subset):
         raise ValueError(f"subset index outside the domain 0..{group.degree - 1}")
-    gens = [p[:group.degree] for p in _family_automorphisms(g, [subset])]
+    raw, base = _family_automorphisms(g, [subset])
+    gens = [p[:group.degree] for p in raw]
     if not all(group.contains(p) for p in gens):
         raise HypothesisError(
             "the setwise stabilizer leaves the group, which is not the full "
             "automorphism group of its geometry"
         )
-    return PermutationGroup(group.degree, gens)
+    return PermutationGroup(group.degree, gens, base_prefix=base)
 
 
 # -- automorphism search on colored graphs --------------------------------------------
@@ -384,7 +383,9 @@ def _individualize(adj, part, v):
 
 
 def graph_automorphisms(adj, colors, *, node_budget=500_000):
-    """Generators of the automorphism group of a vertex-colored graph.
+    """Generators of the automorphism group of a vertex-colored graph, and a
+    base for it: the vertices individualized along the first path, which
+    only the identity fixes all of, since they split the graph to a leaf.
 
     Each node of the search tree is an equitable ordered partition; a child
     individualizes one vertex of the first smallest non-singleton cell and
@@ -453,7 +454,7 @@ def graph_automorphisms(adj, colors, *, node_budget=500_000):
         return False
 
     search(part, 0, True)
-    return gens
+    return gens, base_seq
 
 
 def _structure_graph(g, extra_vertex_sets=()):
@@ -486,18 +487,21 @@ def _structure_graph(g, extra_vertex_sets=()):
 def _family_automorphisms(g, vertex_sets, *, node_budget=500_000):
     """Generators of the automorphisms of g that permute the given vertex
     sets among themselves (a single set is mapped onto itself), as
-    permutations of points, lines, then the sets."""
+    permutations of points, lines, then the sets; and the search's base
+    points among the points and lines, a base prefix for their chain."""
     adj, colors = _structure_graph(g, vertex_sets)
-    return graph_automorphisms(adj, colors, node_budget=node_budget)
+    gens, base = graph_automorphisms(adj, colors, node_budget=node_budget)
+    domain = g.point_count + g.line_count
+    return gens, [b for b in base if b < domain]
 
 
 def automorphism_group(g, *, node_budget=500_000):
     """Full automorphism group of an incidence structure as a permutation
     group on points plus lines, with the geometry-level generators attached;
     the node budget alone bounds the search."""
-    raw = _family_automorphisms(g, (), node_budget=node_budget)
+    raw, base = _family_automorphisms(g, (), node_budget=node_budget)
     perms = [Permutation.from_domain_perm(g, r) for r in raw]
-    group = PermutationGroup(g.point_count + g.line_count, raw)
+    group = PermutationGroup(g.point_count + g.line_count, raw, base_prefix=base)
     group.geometry = g
     group.geometry_generators = perms
     return group
@@ -523,25 +527,15 @@ class InducedActionReport:
 def induced_action_on_sub(group: PermutationGroup, emb) -> InducedActionReport:
     """Restriction of a subgeometry-stabilizing ambient group to the
     subgeometry, with the kernel compared against the elementwise kernel."""
-    amb = emb.ambient
-    n = amb.point_count
-    restricted = []
-    for g in group.generators:
-        pts = [0] * len(emb.point_subset)
-        for p in emb.point_subset:
-            img = g[p]
-            if img not in emb.point_fwd:
-                raise HypothesisError("group does not stabilize the subgeometry")
-            pts[emb.point_fwd[p]] = emb.point_fwd[img]
-        lns = [0] * len(emb.line_subset)
-        for li in emb.line_subset:
-            img = g[n + li] - n
-            if img not in emb.line_fwd:
-                raise HypothesisError("group does not stabilize the subgeometry lines")
-            lns[emb.line_fwd[li]] = emb.line_fwd[img]
-        restricted.append(tuple(pts) + tuple(len(emb.point_subset) + l for l in lns))
-    sub_n = len(emb.point_subset) + len(emb.line_subset)
-    image = PermutationGroup(sub_n, restricted)
+    n, k = emb.ambient.point_count, len(emb.point_subset)
+    # ambient domain index -> subgeometry domain index, in subgeometry order
+    fwd = dict(emb.point_fwd)
+    fwd.update((n + li, k + i) for li, i in emb.line_fwd.items())
+    try:
+        restricted = [tuple(fwd[g[x]] for x in fwd) for g in group.generators]
+    except KeyError:
+        raise HypothesisError("group does not stabilize the subgeometry") from None
+    image = PermutationGroup(len(fwd), restricted)
     kernel = elementwise_kernel(group, emb)
     korder = kernel.order()
     faithful = image.order() * korder == group.order()
@@ -618,14 +612,14 @@ def compare_derived_automorphisms(pair, *, allow_any_theta=False, node_budget=50
     )
 
     sub = emb.substructure
-    raw = _family_automorphisms(
+    raw, base = _family_automorphisms(
         sub, [ov.points for ov in pair.ovoids], node_budget=node_budget
     )
     offset = sub.point_count + sub.line_count
     stab_on_omega = PermutationGroup(
         n_omega, [tuple(g[offset + k] - offset for k in range(n_omega)) for g in raw]
     )
-    stab_order = PermutationGroup(offset, [g[:offset] for g in raw]).order()
+    stab_order = PermutationGroup(offset, [g[:offset] for g in raw], base_prefix=base).order()
 
     equal = direct_on_omega.order() == stab_on_omega.order() and all(
         stab_on_omega.contains(g) for g in direct_on_omega.generators

@@ -336,7 +336,8 @@ def build_kantor_knuth(spec: QClanSpec, clan_override=None) -> KKResult:
 
         # each member coset carries its tangent coset point exactly once
         uniq_member, first = np.unique(member_label, return_index=True)
-        assert uniq_member.size == q**3
+        if uniq_member.size != q**3:
+            raise ConsistencyViolation(f"{uniq_member.size} member cosets, not q^3")
         incid_pts.append(tangent_point_id(idx, tangent_label[first]))
         incid_lns.append(n_members + idx * q**3 + uniq_member)
 

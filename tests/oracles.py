@@ -155,6 +155,22 @@ def brute_automorphism_count(g):
     return count
 
 
+def brute_group(degree, generators):
+    """Every product of the generators, as tuples p[i] = image of i: the
+    closure of the identity under right multiplication by each generator,
+    by breadth-first search (a finite group needs no inverses)."""
+    identity = tuple(range(degree))
+    seen = {identity}
+    queue = [identity]
+    for p in queue:
+        for g in generators:
+            q = tuple(g[x] for x in p)
+            if q not in seen:
+                seen.add(q)
+                queue.append(q)
+    return seen
+
+
 def brute_setwise_stabilizer(group, subset):
     """The elements of the group, listed in full, that map the subset of its
     domain onto itself."""

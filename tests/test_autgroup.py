@@ -21,7 +21,13 @@ from gqcovers.autgroup import (
     pointwise_stabilizer,
     setwise_stabilizer,
 )
-from gqcovers.constructions import build_grid, build_Q4, build_Q4_with_Q3, build_Q5_with_Q4
+from gqcovers.constructions import (
+    build_grid,
+    build_Q4,
+    build_Q4_with_Q3,
+    build_Q5,
+    build_Q5_with_Q4,
+)
 from gqcovers.covers import _morphism_search
 from gqcovers.errors import BudgetExceeded, HypothesisError
 from gqcovers.incidence import IncidenceStructure
@@ -29,6 +35,7 @@ from gqcovers.subtension import build_derived_pair
 
 from .oracles import (
     brute_automorphism_count,
+    brute_group,
     brute_is_equitable,
     brute_refines,
     brute_setwise_stabilizer,
@@ -102,17 +109,80 @@ def test_order_stable_under_base_reordering(q4_2):
         assert re.order() == G.order()
 
 
-def test_kernel_and_stabilizer(q5q4_2):
-    amb, emb = q5q4_2
-    G = automorphism_group(amb)
-    assert G.order() == 51840
-    ker = elementwise_kernel(G, emb)
-    assert ker.order() == 2
-    stab = setwise_stabilizer(G, _section_domain(amb, emb))
-    assert stab.order() == 1440
-    act = induced_action_on_sub(stab, emb)
-    assert act.group.order() == 720  # the whole Aut(Q(4,2))
-    assert act.kernel_order == 2 and act.faithful_modulo_kernel
+def test_kernel_and_stabilizer(q5q4_2, q5q4_3):
+    for (amb, emb), order, sub_order in ((q5q4_2, 51_840, 720), (q5q4_3, 26_127_360, 51_840)):
+        G = automorphism_group(amb)
+        assert G.order() == order
+        # the kernel's chain is rebuilt on a base prefix of every section
+        # point and line: 30 entries at q = 2, 80 at q = 3
+        ker = elementwise_kernel(G, emb)
+        assert ker.order() == 2
+        with pytest.raises(HypothesisError):
+            induced_action_on_sub(G, emb)  # G moves the section
+        stab = setwise_stabilizer(G, _section_domain(amb, emb))
+        assert stab.order() == 2 * sub_order
+        act = induced_action_on_sub(stab, emb)
+        assert act.group.order() == sub_order  # the whole Aut(Q(4,q))
+        assert act.kernel_order == 2 and act.faithful_modulo_kernel
+
+
+def _section_image():
+    """Aut(Q(4,2)) given by the restrictions of the section stabilizer's
+    generators, with no base from the search."""
+    amb, emb = build_Q5_with_Q4(2)
+    stab = setwise_stabilizer(automorphism_group(amb), _section_domain(amb, emb))
+    return induced_action_on_sub(stab, emb).group
+
+
+def _random_even_group(degree, count, seed):
+    """Seeded random even permutations: they generate a subgroup of the
+    alternating group, so swapping two points leaves it."""
+    rng = random.Random(seed)
+    gens = []
+    for _ in range(count):
+        p = rng.sample(range(degree), degree)
+        if sum(p[i] > p[j] for i in range(degree) for j in range(i + 1, degree)) % 2:
+            p[0], p[1] = p[1], p[0]
+        gens.append(p)
+    return PermutationGroup(degree, gens)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: automorphism_group(build_Q4(2)),
+        lambda: automorphism_group(build_grid(2)),
+        _section_image,
+        # the search's generators, without its base
+        lambda: PermutationGroup(24, automorphism_group(build_grid(3)).generators),
+        # S3 wr S2 on six of eight points, order 72
+        lambda: PermutationGroup(8, [(1, 0, 2, 3, 4, 5, 6, 7), (1, 2, 0, 3, 4, 5, 6, 7),
+                                     (3, 4, 5, 0, 1, 2, 6, 7)]),
+        lambda: _random_even_group(7, 2, 1),
+        lambda: _random_even_group(6, 3, 4),
+    ],
+    ids=["Q4_2", "grid2", "section-image", "grid3-unbased", "wreath", "random7", "random6"],
+)
+def test_chain_against_brute_group(build):
+    """Order, membership, listing and pointwise stabilizers of the chain
+    against the closure of the generators."""
+    G = build()
+    oracle = brute_group(G.degree, G.generators)
+    assert G.order() == len(oracle)
+    assert set(G.elements(cap=len(oracle))) == oracle
+    assert all(G.contains(el) for el in oracle)
+    rng = random.Random(0)
+    swap = (1, 0) + tuple(range(2, G.degree))
+    others = [rng.sample(range(G.degree), G.degree) for _ in range(50)]
+    others += [tuple(swap[x] for x in el) for el in sorted(oracle)[:50]]
+    assert any(tuple(p) not in oracle for p in others)
+    assert all(G.contains(p) == (tuple(p) in oracle) for p in others)
+    for prefix in ([0], [G.degree - 1], [1, 0, 1], rng.sample(range(G.degree), 3),
+                   range(G.degree)):
+        H = pointwise_stabilizer(G, prefix)
+        fixers = {el for el in oracle if all(el[b] == b for b in prefix)}
+        assert H.order() == len(fixers)
+        assert set(H.elements(cap=len(fixers))) == fixers
 
 
 def test_stabilizer_of_empty_set_is_group(q4_2):
@@ -260,6 +330,13 @@ def test_full_group_node_budget(q5q4_3):
     amb, _emb = q5q4_3
     with pytest.raises(BudgetExceeded, match="exceeded 50 nodes: visited 51"):
         automorphism_group(amb, node_budget=50)
+
+
+@pytest.mark.slow
+def test_q5_4_group_order():
+    """|Aut(Q(5,4))| = |PGammaO^-(6,4)| = 4,073,472,000."""
+    G = automorphism_group(build_Q5(4), node_budget=2_000_000)
+    assert G.order() == 4_073_472_000
 
 
 @pytest.mark.slow

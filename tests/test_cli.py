@@ -168,15 +168,14 @@ def test_unknown_suite_rejected():
 
 
 def test_aut_stabilize_cli(workdir, capsys):
-    subset = {"points": list(range(9))}  # a grid inside Q(4,2)? use the section
-    import json as _json
-
-    # stabilize the hyperplane section inside the ambient group
-    emb = _json.load(open("g.embedding.json"))
+    # stabilize the hyperplane section Q(4,2) inside Aut(Q(5,2))
+    assert run(["construct", "--family", "q5q4", "--q", "2", "--out", "stab.json"]) == 0
+    emb = json.load(open("stab.embedding.json"))
     with open("subset.json", "w") as fh:
-        _json.dump({"points": emb["points"], "lines": emb["lines"]}, fh)
-    assert run(["aut", "--geometry", "g.json", "--stabilize", "subset.json"]) == 0
-    out = _json.loads(capsys.readouterr().out)
+        json.dump({"points": emb["points"], "lines": emb["lines"]}, fh)
+    capsys.readouterr()
+    assert run(["aut", "--geometry", "stab.json", "--stabilize", "subset.json"]) == 0
+    out = json.loads(capsys.readouterr().out)
     assert out["order"] == 51840 and out["stabilizer_order"] == 1440
 
 
