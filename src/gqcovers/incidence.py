@@ -2,14 +2,20 @@
 
 Points are dense integer indices 0..n-1.  Lines are stored as sorted tuples
 of point indices, in lexicographic order, with duplicate lines rejected at
-construction.  The point by line incidence matrix is one scipy.sparse CSC
-matrix.  Collinearity is cached as a dense, C-contiguous boolean matrix; it
-is symmetric, so it is always gathered along rows.  One contact kernel,
-`point_line_collinearity_counts`, gives c[x, L] = |perp(x) meet L| block by
-block; axiom (b), the triangle scan, the SPG alpha and the KK completion
-test all read it.  Line and contact counts use the smallest unsigned type
-that cannot wrap.  A structure never changes after construction, so its
-axiom verdict is computed once and cached.
+construction, and again as flat numpy line-point rows, grouped by line size
+wherever lines are gathered.  Collinearity is a dense, C-contiguous boolean
+matrix scattered from each line's point pairs; it is symmetric, so it is
+always gathered along rows.  Axiom (c) is a count: a line of k points joins
+k(k-1) ordered point pairs, so no two points share two lines exactly when
+the collinearity matrix holds sum k(k-1) pairs off its diagonal.  Axiom (b)
+and the triangle scan are one sweep over blocks of lines, with the
+collinearity rows packed into uint64 bitsets: per line, the points that see
+at least one and at least two of its points.  The contact count
+`point_line_collinearity_counts` (c[x, L] = |perp(x) meet L|, in the
+smallest unsigned type that cannot wrap) serves the SPG alpha, the KK
+completion test and the failure witnesses.  A structure never changes after
+construction, so its axiom verdict, triangle witness and connectivity are
+computed once and cached.
 `ovoid_classes` groups the points off a subset by their traces on it.
 """
 
@@ -22,12 +28,15 @@ from itertools import chain, combinations
 from typing import NamedTuple, Optional, Union
 
 import numpy as np
-from scipy import sparse
 
 from .errors import ConsistencyViolation, EmptyGeometryError
 
-# point x line cells per block of the contact kernel (8 MB as uint8)
-CONTACT_BLOCK_CELLS = 1 << 23
+# point pairs per chunk of the collinearity scatter
+SCATTER_CELLS = 1 << 16
+# uint64 words per bitset in a block of the axiom (b) and triangle sweep
+SWEEP_WORDS = 1 << 15
+# BIT[i] is the uint64 word with bit i set
+BIT = np.uint64(1) << np.arange(64, dtype=np.uint64)
 
 
 class GQOrder(NamedTuple):
@@ -95,31 +104,45 @@ class IncidenceStructure:
         return tuple(tuple(x) for x in pls)
 
     @cached_property
-    def incidence(self):
-        """Point x line incidence matrix, scipy.sparse CSC with unit entries."""
-        indptr = np.cumsum([0] + [len(line) for line in self.lines])
-        indices = np.fromiter(chain.from_iterable(self.lines), dtype=np.int64, count=indptr[-1])
-        return sparse.csc_matrix(
-            (np.ones(len(indices), dtype=np.uint8), indices, indptr),
-            shape=(self.point_count, self.line_count),
-        )
+    def _line_rows(self):
+        """The lines as flat numpy rows (starts, points): line i holds
+        points[starts[i]:starts[i + 1]], ascending."""
+        starts = np.zeros(self.line_count + 1, dtype=np.intp)
+        np.cumsum([len(line) for line in self.lines], out=starts[1:])
+        points = np.fromiter(chain.from_iterable(self.lines), dtype=np.intp, count=starts[-1])
+        return starts, points
 
-    def _common_lines(self):
-        """Sparse symmetric count of the lines through both of two points, in
-        the smallest unsigned type that holds the largest point degree."""
-        inc = self.incidence
-        inc = inc.astype(np.min_scalar_type(np.bincount(inc.indices).max(initial=0)))
-        return inc @ inc.T
+    def _line_groups(self, lines):
+        """Yield (positions, points) for each line size among the given line
+        indices: where the lines of that size sit in `lines`, and their
+        points as a (count, size) array."""
+        if self.uniform_line_size:
+            yield np.arange(len(lines)), self.line_points_array[lines]
+            return
+        starts, points = self._line_rows
+        first = starts[lines]
+        sizes = starts[lines + 1] - first
+        for k in np.flatnonzero(np.bincount(sizes)):
+            pos = np.flatnonzero(sizes == k)
+            yield pos, points[first[pos, None] + np.arange(k)]
+
+    @cached_property
+    def point_degrees(self):
+        """The number of lines through each point."""
+        return np.bincount(self._line_rows[1], minlength=self.point_count)
 
     @cached_property
     def collinearity(self):
         """Dense C-contiguous boolean matrix; entry (x,y) true iff x,y share a
-        line or x == y."""
-        # symmetric: the transpose is the same matrix in CSR form, whose dense
-        # form is C-ordered
-        common = self._common_lines().T
-        common.data = common.data > 0
-        coll = common.toarray()
+        line or x == y.  Scattered from each line's point pairs."""
+        n = self.point_count
+        coll = np.zeros((n, n), dtype=bool)
+        cells = coll.reshape(-1)
+        for _pos, pts in self._line_groups(np.arange(self.line_count)):
+            step = max(1, SCATTER_CELLS // max(pts.shape[1] ** 2, 1))
+            for start in range(0, len(pts), step):
+                part = pts[start:start + step]
+                cells[(part[:, :, None] * n + part[:, None, :]).ravel()] = True
         np.fill_diagonal(coll, True)
         return coll
 
@@ -134,11 +157,12 @@ class IncidenceStructure:
 
     @cached_property
     def line_points_array(self):
-        """Lines as a dense (m, k) int array; only for uniform line size."""
+        """Lines as a dense (m, k) int array, a view of the line-point rows;
+        only for uniform line size."""
         k = self.uniform_line_size
         if k is None:
             raise ValueError("line sizes are not uniform")
-        return np.array(self.lines, dtype=np.int32).reshape(self.line_count, k)
+        return self._line_rows[1].reshape(self.line_count, k)
 
     # -- perp operators --------------------------------------------------------
 
@@ -177,36 +201,43 @@ class IncidenceStructure:
         if not (isinstance(x, (int, np.integer)) and 0 <= x < self.point_count):
             raise ValueError(f"invalid point index {x!r}")
 
-    # -- contact kernel ---------------------------------------------------------
+    # -- contact counts and the line sweep ---------------------------------------
 
     def point_line_collinearity_counts(self, line_block=None):
-        """Matrix c[x, L] = |perp(x) meet L| for lines in the block (all by default).
+        """Matrix c[x, L] = |perp(x) meet L| for lines in the block (all by
+        default): per line, the sum of its points' collinearity rows."""
+        lines = np.arange(self.line_count) if line_block is None else line_block
+        return _line_sums(self, self.collinearity, np.asarray(lines, dtype=np.intp)).T
 
-        The one contact kernel: the sparse product of the block's incidence
-        columns with the collinearity rows.  Callers scan the lines in blocks
-        (`_contact_blocks`) so the stretch-size geometry stays within memory.
-        """
-        if line_block is None:
-            line_block = np.arange(self.line_count)
-        return _contacts(self.incidence[:, line_block], self.collinearity).T
-
-    def _contact_blocks(self, on_line):
-        """Yield (lines, counts) over consecutive line blocks of at most
-        CONTACT_BLOCK_CELLS cells: counts[i, x] is the contact count of point x
-        with the i-th line, with the cells of the points on that line set to
-        on_line."""
-        step = max(1, CONTACT_BLOCK_CELLS // max(self.point_count, 1))
+    def _line_sweeps(self):
+        """Yield (lines, one, two, own) over blocks of consecutive lines, each
+        a uint64 bitset over the points per line: the points that see at
+        least one and at least two of the line's points (a point sees
+        itself), and the line's own points."""
+        rows = _bitsets(self.collinearity)
+        words = rows.shape[1]
+        step = max(1, SWEEP_WORDS // max(words, 1))
         for start in range(0, self.line_count, step):
             lines = np.arange(start, min(start + step, self.line_count))
-            counts = self.point_line_collinearity_counts(lines).T
-            block = self.incidence[:, lines]
-            counts[np.repeat(np.arange(len(lines)), np.diff(block.indptr)), block.indices] = on_line
-            yield lines, counts
+            one, two, own = np.zeros((3, len(lines), words), dtype=np.uint64)
+            for pos, pts in self._line_groups(lines):
+                seen, twice = np.zeros((2, len(pos), words), dtype=np.uint64)
+                for col in pts.T:
+                    row = rows[col]
+                    twice |= seen & row
+                    seen |= row
+                one[pos], two[pos] = seen, twice
+                np.bitwise_or.at(own, (pos[:, None], pts >> 6), BIT[pts & 63])
+            yield lines, one, two, own
 
     # -- global predicates ----------------------------------------------------
 
     def is_connected(self):
-        """Connectivity of the bipartite point-line incidence graph."""
+        """Connectivity of the bipartite point-line incidence graph (cached)."""
+        return self._connected
+
+    @cached_property
+    def _connected(self):
         n, m = self.point_count, self.line_count
         total = n + m
         if total == 0:
@@ -228,20 +259,29 @@ class IncidenceStructure:
 
     def has_triangle(self):
         """Witness of three pairwise-collinear points on three distinct lines
-        sharing no common line, or None."""
-        for lines, counts in self._contact_blocks(on_line=0):
-            for i, z in zip(*np.nonzero(counts >= 2)):
+        sharing no common line, or None (cached).  The candidates are the
+        points off a line that see two of its points, in line-then-point
+        order."""
+        return self._triangle
+
+    @cached_property
+    def _triangle(self):
+        for lines, _one, two, own in self._line_sweeps():
+            off_line = two & ~own
+            for i in np.flatnonzero(off_line.any(axis=1)):
                 li = int(lines[i])
                 line = self.lines[li]
-                nbrs = [y for y in line if self.collinearity[z, y]]
-                for a, b in combinations(nbrs, 2):
-                    for m1 in self._joining_lines(z, a):
-                        for m2 in self._joining_lines(z, b):
-                            if m1 != m2 and m1 != li and m2 != li:
-                                return TriangleWitness(
-                                    points=(int(z), int(a), int(b)),
-                                    lines=(int(m1), int(m2), li),
-                                )
+                bits = np.unpackbits(off_line[i].astype("<u8").view(np.uint8), bitorder="little")
+                for z in np.flatnonzero(bits):
+                    nbrs = [y for y in line if self.collinearity[z, y]]
+                    for a, b in combinations(nbrs, 2):
+                        for m1 in self._joining_lines(z, a):
+                            for m2 in self._joining_lines(z, b):
+                                if m1 != m2 and m1 != li and m2 != li:
+                                    return TriangleWitness(
+                                        points=(int(z), int(a), int(b)),
+                                        lines=(int(m1), int(m2), li),
+                                    )
         return None
 
     def _joining_lines(self, x, y):
@@ -319,8 +359,8 @@ def _check_gq_axioms(g: IncidenceStructure) -> Union[GQOrder, AxiomFailure]:
         raise EmptyGeometryError("empty structure")
     if g.line_count == 0:
         return AxiomFailure("a", (0,), "point 0 lies on 0 lines")
-    sizes = {len(line) for line in g.lines}
-    if len(sizes) > 1:
+    size = g.uniform_line_size
+    if size is None:
         small = min(g.lines, key=len)
         big = max(g.lines, key=len)
         return AxiomFailure(
@@ -328,10 +368,9 @@ def _check_gq_axioms(g: IncidenceStructure) -> Union[GQOrder, AxiomFailure]:
             (g.line_index[small], g.line_index[big]),
             f"line sizes differ: {len(small)} vs {len(big)}",
         )
-    size = sizes.pop()
     if size < 2:
         return AxiomFailure("a", (0,), f"lines have {size} < 2 points")
-    degrees = np.bincount(g.incidence.indices, minlength=g.point_count)
+    degrees = g.point_degrees
     if degrees.min() != degrees.max():
         worst = int(degrees.argmin())
         return AxiomFailure(
@@ -347,38 +386,61 @@ def _check_gq_axioms(g: IncidenceStructure) -> Union[GQOrder, AxiomFailure]:
         x, y, count = shared
         return AxiomFailure("c", (x, y), f"points {x},{y} share {count} lines")
 
-    # a point on the line reads as one contact, so every cell must be 1
-    for lines, counts in g._contact_blocks(on_line=1):
-        bad = np.flatnonzero((counts != 1).any(axis=1))
+    # every point sees a point of each line, and only the line's own points
+    # see two of them
+    everyone = _bitsets(np.ones(g.point_count, dtype=bool))
+    for lines, one, two, own in g._line_sweeps():
+        bad = np.flatnonzero((one != everyone).any(axis=1) | (two != own).any(axis=1))
         if bad.size:
-            li, col = int(lines[bad[0]]), counts[bad[0]]
+            li = int(lines[bad[0]])
+            col = g.point_line_collinearity_counts([li])[:, 0]
+            col[list(g.lines[li])] = 1
             x = int(col.argmin() if col.min() < 1 else col.argmax())
             return AxiomFailure("b", (x, li), f"point {x} sees {int(col[x])} points of line {li}")
     return GQOrder(s, t)
 
 
-def _contacts(members, rows):
-    """members.T @ rows for a sparse 0/1 matrix and a boolean matrix with as
-    many rows: how many of each member set's points each column sees.
-    Counted in the smallest unsigned type that holds the largest member set;
-    a C-ordered boolean matrix is read as uint8 without a copy."""
-    dtype = np.min_scalar_type(np.diff(members.indptr).max(initial=0))
-    dense = rows.view(np.uint8) if dtype == np.uint8 else rows.astype(dtype)
-    return members.T.astype(dtype) @ dense
+def _bitsets(rows):
+    """Boolean rows packed into uint64 words: bit i of word w is column
+    64w + i, and the bits past the last column are clear."""
+    n = rows.shape[-1]
+    packed = np.zeros(rows.shape[:-1] + (-(-n // 64) * 8,), dtype=np.uint8)
+    packed[..., :-(-n // 8)] = np.packbits(rows, axis=-1, bitorder="little")
+    return packed.view("<u8")
+
+
+def _line_sums(g, rows, lines):
+    """sums[i] = the sum of rows[p] over the points p of line lines[i] of g
+    (for collinearity rows, every point's contact count with that line), in
+    the smallest unsigned type that holds the longest of those lines."""
+    sizes = np.diff(g._line_rows[0])[lines]
+    sums = np.zeros((len(lines), rows.shape[1]), dtype=np.min_scalar_type(sizes.max(initial=0)))
+    for pos, pts in g._line_groups(lines):
+        for col in pts.T:
+            sums[pos] += rows[col]
+    return sums
 
 
 def _repeated_line_pair(g: IncidenceStructure):
     """(x, y, count) for the first point pair in row-major order on the most
-    common lines, when that is more than one line; None otherwise."""
-    common = g._common_lines()
-    common.setdiag(0)
-    if not common.nnz or common.data.max() <= 1:
+    common lines, when that is more than one line; None otherwise.
+
+    A line of k points joins k(k-1) ordered pairs of distinct points, so two
+    points share two lines exactly when the collinearity matrix holds fewer
+    ordered pairs off its diagonal than the sum of k(k-1) over the lines
+    (the double count of Payne & Thas, 1.2).  The pairs are listed only
+    when that count fails."""
+    sizes = np.diff(g._line_rows[0])
+    if np.count_nonzero(g.collinearity) - g.point_count == int((sizes * (sizes - 1)).sum()):
         return None
-    # symmetric: the compressed axis can be read as the row
-    common.sort_indices()
-    first = int(common.data.argmax())
-    x = int(np.searchsorted(common.indptr, first, side="right")) - 1
-    return x, int(common.indices[first]), int(common.data[first])
+    n = g.point_count
+    codes = []
+    for _pos, pts in g._line_groups(np.arange(g.line_count)):
+        first, second = np.triu_indices(pts.shape[1], 1)
+        codes.append((pts[:, first] * n + pts[:, second]).ravel())
+    pairs, counts = np.unique(np.concatenate(codes), return_counts=True)
+    x, y = divmod(int(pairs[counts.argmax()]), n)
+    return x, y, int(counts.max())
 
 
 def gq_order(g: IncidenceStructure) -> GQOrder:
@@ -433,7 +495,8 @@ def ovoid_classes(g: IncidenceStructure, point_subset) -> OvoidClasses:
 
 def _validate_ovoid_rows(emb, rows):
     """Every trace row must meet every substructure line exactly once."""
-    counts = _contacts(emb.substructure.incidence, rows.T).T
+    sub = emb.substructure
+    counts = _line_sums(sub, rows.T, np.arange(sub.line_count)).T
     if counts.size and (counts.min() < 1 or counts.max() > 1):
         bad = np.argwhere((counts < 1) | (counts > 1))[0]
         raise ConsistencyViolation(

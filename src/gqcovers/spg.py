@@ -15,6 +15,9 @@ import numpy as np
 from .errors import HypothesisError
 from .incidence import _repeated_line_pair
 
+# point x line cells per block of contact counts (8 MB as uint8)
+CONTACT_BLOCK_CELLS = 1 << 23
+
 
 @dataclass(frozen=True)
 class SPGParameters:
@@ -63,7 +66,7 @@ def verify_spg(E, expected: Optional[SPGParameters] = None) -> SPGReport:
         return SPGReport(None, SPGFailure("line_size", (), f"line sizes {sorted(sizes)}"), False, False)
     s_star = sizes.pop() - 1
 
-    degrees = np.bincount(E.incidence.indices, minlength=E.point_count)
+    degrees = E.point_degrees
     if degrees.min() != degrees.max():
         p = int(degrees.argmin())
         return SPGReport(
@@ -84,7 +87,12 @@ def verify_spg(E, expected: Optional[SPGParameters] = None) -> SPGReport:
     # (x, L) in line-then-point order that differs from the first one
     alpha_values = set()
     first = alpha_witness = None
-    for lines, counts in E._contact_blocks(on_line=0):
+    line_pts = E.line_points_array
+    step = max(1, CONTACT_BLOCK_CELLS // E.point_count)
+    for start in range(0, E.line_count, step):
+        lines = np.arange(start, min(start + step, E.line_count))
+        counts = E.point_line_collinearity_counts(lines).T
+        counts[np.arange(len(lines))[:, None], line_pts[lines]] = 0
         alpha_values.update(np.unique(counts).tolist())
         if first is None and counts.any():
             first = counts.flat[np.flatnonzero(counts)[0]]

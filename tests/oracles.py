@@ -16,11 +16,86 @@ def brute_collinear(g, x, y):
     return any(x in line and y in line for line in g.lines)
 
 
+
+
+def brute_joining_lines(g):
+    """(x, y) -> the ascending indices of the lines through both points, for
+    every pair of distinct points on a common line, both ways round."""
+    through = {}
+    for i, line in enumerate(g.lines):
+        for x, y in itertools.permutations(line, 2):
+            through.setdefault((x, y), []).append(i)
+    return through
+
+
+def brute_collinearity(g):
+    """rows[x][y]: x == y, or x and y lie on a common line."""
+    through = brute_joining_lines(g)
+    return [[x == y or (x, y) in through for y in range(g.point_count)]
+            for x in range(g.point_count)]
+
+
 def brute_contacts(g):
     """c[x][L]: how many points of line L are collinear with x (x counts
     itself when it lies on L)."""
-    return [[sum(brute_collinear(g, x, y) for y in line) for line in g.lines]
+    through = brute_joining_lines(g)
+    return [[sum(x == y or (x, y) in through for y in line) for line in g.lines]
             for x in range(g.point_count)]
+
+
+def brute_gq_axioms(g):
+    """The quadrangle axioms from their definitions, (a), then (c), then (b):
+    ("order", s, t) when they hold, else (axiom, witness, message).  The
+    witnesses: for (a) the first shortest and first longest line, the first
+    point on the fewest lines, or element 0; for (c) the first pair x < y in
+    row-major order on the most common lines; for (b) the first line with a
+    point off it seeing no or several of its points, and on that line the
+    first point seeing none, else the first seeing the most (a point on the
+    line counts as seeing one)."""
+    n, lines = g.point_count, g.lines
+    if not lines:
+        return "a", (0,), "point 0 lies on 0 lines"
+    sizes = [len(line) for line in lines]
+    if min(sizes) != max(sizes):
+        return ("a", (sizes.index(min(sizes)), sizes.index(max(sizes))),
+                f"line sizes differ: {min(sizes)} vs {max(sizes)}")
+    if sizes[0] < 2:
+        return "a", (0,), f"lines have {sizes[0]} < 2 points"
+    degrees = [sum(x in line for line in lines) for x in range(n)]
+    if min(degrees) != max(degrees):
+        worst = degrees.index(min(degrees))
+        return "a", (worst,), f"point {worst} lies on {degrees[worst]} lines"
+    if degrees[0] < 2:
+        return "a", (0,), f"points lie on {degrees[0]} < 2 lines"
+    through = brute_joining_lines(g)
+    most = max(len(ls) for ls in through.values())
+    if most > 1:
+        x, y = min(pair for pair, ls in through.items() if len(ls) == most)
+        return "c", (x, y), f"points {x},{y} share {most} lines"
+    for i, line in enumerate(lines):
+        seen = [1 if x in line else sum((x, y) in through for y in line) for x in range(n)]
+        if any(c != 1 for c in seen):
+            x = seen.index(0) if 0 in seen else seen.index(max(seen))
+            return "b", (x, i), f"point {x} sees {seen[x]} points of line {i}"
+    return "order", sizes[0] - 1, degrees[0] - 1
+
+
+def brute_triangle(g):
+    """The first triangle in line-then-point order: a line L, a point z off
+    L collinear with two points a < b of L, and lines m1 through z, a and m2
+    through z, b with L, m1, m2 distinct.  Returns ((z, a, b), (m1, m2, L)),
+    or None when there is no triangle."""
+    through = brute_joining_lines(g)
+    for i, line in enumerate(g.lines):
+        for z in range(g.point_count):
+            if z in line:
+                continue
+            for a, b in itertools.combinations([y for y in line if (z, y) in through], 2):
+                for m1 in through[(z, a)]:
+                    for m2 in through[(z, b)]:
+                        if m1 != m2 and i not in (m1, m2):
+                            return (z, a, b), (m1, m2, i)
+    return None
 
 
 def brute_perp(g, x):

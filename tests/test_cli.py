@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -21,6 +23,17 @@ def workdir(tmp_path_factory):
     os.chdir(d)
     yield d
     os.chdir(cwd)
+
+
+@pytest.fixture(scope="module")
+def pair_files(workdir):
+    """g.json and g.embedding.json (Q(5,2) with its Q(4,2) section) and the
+    derived pair under pair/, built in the working directory for the tests
+    that read them."""
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert run(["construct", "--family", "q5q4", "--q", "2", "--out", "g.json"]) == 0
+        assert run(["subtend", "--ambient", "g.json", "--embedding", "g.embedding.json",
+                    "--out", "pair"]) == 0
 
 
 def test_construct_and_subtend(workdir, capsys):
@@ -48,7 +61,7 @@ def test_construct_and_subtend(workdir, capsys):
     capsys.readouterr()
 
 
-def test_spg_check_cli(workdir, capsys):
+def test_spg_check_cli(workdir, pair_files, capsys):
     assert run(["spg-check", "--geometry", "pair/E.json", "--expect", "1,4,2,4"]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["verdict"] == "pass" and out["parameters"] == [1, 4, 2, 4]
@@ -56,26 +69,26 @@ def test_spg_check_cli(workdir, capsys):
     assert run(["spg-check", "--geometry", "pair/E.json", "--expect", "1,4,3,4"]) == 1
 
 
-def test_factorize_cli(workdir, capsys):
+def test_factorize_cli(workdir, pair_files, capsys):
     assert run(["factorize", "--pair", "pair", "--cover", "pair/pi.json"]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["orientation"] == "direct"
     assert out["e_point_perm"] == list(range(6))
 
 
-def test_enumerate_covers_cli(workdir, capsys):
+def test_enumerate_covers_cli(workdir, pair_files, capsys):
     assert run(["enumerate-covers", "--pair", "pair"]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["count"] == 720
 
 
-def test_reconstruct_cli(workdir, capsys):
+def test_reconstruct_cli(workdir, pair_files, capsys):
     assert run(["reconstruct", "--pair", "pair", "--cover", "pair/pi.json"]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["points"] == 27 and out["lines"] == 45
 
 
-def test_transversal_cli(workdir, capsys):
+def test_transversal_cli(workdir, pair_files, capsys):
     assert (
         run(["transversal-config", "--pair", "pair", "--samples", "30", "--seed", "0"])
         == 0
@@ -84,7 +97,7 @@ def test_transversal_cli(workdir, capsys):
     assert out["single_coplanar"] == 30 and out["multi_coplanar"] == 0
 
 
-def test_aut_and_extend_cli(workdir, capsys):
+def test_aut_and_extend_cli(workdir, pair_files, capsys):
     assert run(["construct", "--family", "grid", "--q", "2", "--out", "grid.json"]) == 0
     capsys.readouterr()
     assert run(["aut", "--geometry", "grid.json"]) == 0

@@ -1,4 +1,5 @@
 import json
+import random
 
 import numpy as np
 import pytest
@@ -24,10 +25,13 @@ from gqcovers.spg import verify_spg
 from .oracles import (
     brute_cl,
     brute_collinear,
+    brute_collinearity,
     brute_contacts,
+    brute_gq_axioms,
     brute_ovoid_classes,
     brute_perp,
     brute_perp_set,
+    brute_triangle,
 )
 
 FANO = [[0, 1, 2], [2, 3, 4], [4, 5, 0], [1, 3, 5], [0, 6, 3], [2, 6, 5], [1, 6, 4]]
@@ -256,7 +260,7 @@ def test_contact_kernel_against_oracle(name, request):
 
 
 def test_collinearity_is_c_contiguous(q4_2):
-    """The contact kernel reads collinearity rows as uint8 without a copy."""
+    """The contact counts and the line sweep gather collinearity rows."""
     assert q4_2.collinearity.flags.c_contiguous
 
 
@@ -299,6 +303,149 @@ def test_triangles_fail_the_axioms(structure):
                    for x in range(n) if x not in line)
     two_common = any(len(set(a) & set(b)) >= 2 for a in g.lines for b in g.lines if a < b)
     assert sees_two or two_common
+
+
+def _verdict(g):
+    """verify_gq_axioms in the form of the oracle's answer."""
+    res = verify_gq_axioms(g)
+    if isinstance(res, GQOrder):
+        return ("order", *res)
+    return res.axiom, res.witness, res.message
+
+
+def _triangle(g):
+    tri = has_triangle(g)
+    return None if tri is None else (tri.points, tri.lines)
+
+
+def _relabelled(n, lines, seed):
+    """The lines on n points after a seeded permutation of the points."""
+    perm = list(range(n))
+    random.Random(seed).shuffle(perm)
+    return IncidenceStructure(n, [[perm[p] for p in line] for line in lines])
+
+
+def _grid_with_switched_points(s):
+    """grid(s) with the points (0, 0) and (1, 1) swapped between rows 0 and
+    1: every line size and point degree stays, so axiom (a) holds."""
+    rows = [[(s + 1) * i + j for j in range(s + 1)] for i in range(s + 1)]
+    cols = [[(s + 1) * i + j for i in range(s + 1)] for j in range(s + 1)]
+    rows[0][0], rows[1][1] = rows[1][1], rows[0][0]
+    return IncidenceStructure((s + 1) ** 2, rows + cols)
+
+
+def _bipartite(m, matched):
+    """K(m, m) on the points 0..2m-1 (the dual grid of order (1, m - 1)), with
+    lines the pairs across the sides; when matched, also the pairs {2i, 2i+1}
+    inside each side, so that a point sees both points of such a line."""
+    lines = [(i, m + j) for i in range(m) for j in range(m)]
+    if matched:
+        lines += [(i, i + 1) for i in range(0, 2 * m, 2)]
+    return IncidenceStructure(2 * m, lines)
+
+
+def _boundary_structures(n):
+    """Structures on n points: a polygon ((a) holds, (b) fails), consecutive
+    triples ((a) holds, (c) fails), and the Fano plane, the prism and a long
+    line among isolated points, each with its points scattered over the
+    uint64 words."""
+    polygon = [(i, (i + 1) % n) for i in range(n)]
+    triples = [(i, (i + 1) % n, (i + 2) % n) for i in range(n)]
+    return {
+        "polygon": IncidenceStructure(n, polygon),
+        "polygon-relabelled": _relabelled(n, polygon, n),
+        "triples-relabelled": _relabelled(n, triples, n),
+        "fano": _relabelled(n, FANO, n),
+        "prism": _relabelled(n, PRISM, n),
+        "long-line-and-polygon": _relabelled(n, polygon[:n // 2] + [tuple(range(n // 2, n))], n),
+    }
+
+
+ORACLE_CASES = {
+    **{f"{name}-{n}": (lambda n=n, name=name: _boundary_structures(n)[name])
+       for n in (63, 64, 65, 128, 129) for name in _boundary_structures(8)},
+    "grid7": lambda: _relabelled(64, constructions.build_grid(7).lines, 64),
+    "bipartite-64": lambda: _relabelled(64, _bipartite(32, False).lines, 32),
+    "bipartite-matched-64": lambda: _relabelled(64, _bipartite(32, True).lines, 32),
+    "bipartite-matched-128": lambda: _relabelled(128, _bipartite(64, True).lines, 64),
+    "grid7-switched": lambda: _relabelled(64, _grid_with_switched_points(7).lines, 7),
+    "grid7-twice": lambda: IncidenceStructure(
+        128, [line for i in (0, 64) for line in
+              [tuple(p + i for p in line) for line in constructions.build_grid(7).lines]]
+    ),
+    "q4_4": lambda: constructions.build_Q4(4),
+    "q5_3": lambda: _relabelled(128, constructions.build_Q5(3).lines, 128),
+    "long-line": lambda: IncidenceStructure(131, [tuple(range(130)), (129, 130)]),
+    "mixed-sizes": lambda: IncidenceStructure(
+        70, [(0, 1), (1, 2, 3), (3, 4, 5, 6), (0, 65, 69), (2, 66), (4, 67, 68),
+             tuple(range(6, 66))]
+    ),
+    "common-128": lambda: IncidenceStructure(130, [(0, 1, j) for j in range(2, 130)]),
+    "common-256": lambda: IncidenceStructure(258, [(0, 1, j) for j in range(2, 258)]),
+}
+
+
+@pytest.mark.parametrize("name", ORACLE_CASES)
+def test_sweep_against_oracle(name):
+    """Collinearity, contact counts, the per-line bitsets of the sweep, the
+    axiom verdict with its witness, and the triangle witness, each against
+    a definition-level oracle, on structures that cross the uint64 word
+    boundaries and on non-uniform lines."""
+    g = ORACLE_CASES[name]()
+    n = g.point_count
+    assert g.collinearity.tolist() == brute_collinearity(g)
+    contacts = np.array(brute_contacts(g), dtype=np.int64).reshape(n, g.line_count)
+    assert (g.point_line_collinearity_counts() == contacts).all()
+    swept = 0
+    for lines, one, two, own in g._line_sweeps():
+        for bits, expected in [(one, contacts[:, lines].T >= 1), (two, contacts[:, lines].T >= 2)]:
+            unpacked = np.unpackbits(bits.astype("<u8").view(np.uint8), axis=1, bitorder="little")
+            assert not unpacked[:, n:].any()
+            assert (unpacked[:, :n] == expected).all()
+        unpacked = np.unpackbits(own.astype("<u8").view(np.uint8), axis=1, bitorder="little")
+        own_points = [np.flatnonzero(row).tolist() for row in unpacked]
+        assert own_points == [list(g.lines[i]) for i in lines]
+        swept += len(lines)
+    assert swept == g.line_count
+    assert _verdict(g) == brute_gq_axioms(g)
+    assert _triangle(g) == brute_triangle(g)
+
+
+def test_oracle_cases_reach_every_verdict():
+    """The cases above exercise each axiom's failure, a pass, and triangles."""
+    verdicts = {brute_gq_axioms(build())[0] for build in ORACLE_CASES.values()}
+    assert verdicts == {"a", "b", "c", "order"}
+    assert verify_gq_axioms(ORACLE_CASES["q4_4"]()) == GQOrder(4, 4)
+    assert brute_triangle(ORACLE_CASES["fano-129"]()) is not None
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=4, max_value=9).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        st.integers(min_value=2, max_value=3).flatmap(
+            lambda k: st.sets(st.frozensets(st.integers(0, n - 1), min_size=k, max_size=k),
+                              min_size=2, max_size=12)),
+    )
+))
+def test_axioms_and_triangles_against_oracle(structure):
+    """Random structures with one line size: the verdict, its witness and the
+    triangle witness agree with the definition-level oracles."""
+    n, lines = structure
+    g = IncidenceStructure(n, [sorted(line) for line in lines])
+    assert _verdict(g) == brute_gq_axioms(g)
+    assert _triangle(g) == brute_triangle(g)
+
+
+def test_triangle_and_connectivity_are_cached(monkeypatch):
+    """Each structure runs the triangle sweep and the connectivity search
+    once: with their inputs taken away, the answers still come back."""
+    g = IncidenceStructure(7, FANO)
+    first = has_triangle(g)
+    assert first is not None and is_connected(g)
+    monkeypatch.setattr(IncidenceStructure, "_line_sweeps", None)
+    monkeypatch.setattr(g, "point_lines", None)
+    assert has_triangle(g) is first and is_connected(g)
 
 
 def _classes_by_trace(point_subset, classes):

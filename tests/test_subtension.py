@@ -196,16 +196,17 @@ def test_ovoid_intersection_dichotomy_q3(q5q4_3):
 
 
 def test_axiom_check_runs_once(monkeypatch):
-    """The axiom verdict is cached on the structure: repeated intersection
-    checks run the contact kernel no further."""
+    """The axiom verdict is cached on the structure: the first intersection
+    check runs the axiom (b) sweep on the ambient quadrangle, and repeated
+    checks run it no further."""
     calls = []
-    kernel = IncidenceStructure.point_line_collinearity_counts
+    sweep = IncidenceStructure._line_sweeps
 
-    def counting(self, *args, **kwargs):
+    def counting(self):
         calls.append(self)
-        return kernel(self, *args, **kwargs)
+        return sweep(self)
 
-    monkeypatch.setattr(IncidenceStructure, "point_line_collinearity_counts", counting)
+    monkeypatch.setattr(IncidenceStructure, "_line_sweeps", counting)
     _amb, emb = build_Q5_with_Q4(2)
     x = emb.external_points[0]
     ov = subtended_ovoid(emb, x)
@@ -213,6 +214,7 @@ def test_axiom_check_runs_once(monkeypatch):
     xp = next(y for y in emb.external_points if y != x and y not in common_perp)
     check_ovoid_intersections(emb, x, xp)
     after_first = len(calls)
+    assert any(g is emb.ambient for g in calls)
     check_ovoid_intersections(emb, x, xp)
     check_ovoid_intersections(emb, x, xp)
     assert len(calls) == after_first
